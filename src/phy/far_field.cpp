@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #include "common/contract.h"
 
@@ -37,6 +38,47 @@ std::optional<FarFieldParams> far_field_params(double eps, double cell,
   return FarFieldParams{.eps = eps, .cell = cell, .rho = rho};
 }
 
+void FarFieldWorkspace::build_tables(const TableKey& key,
+                                     const PathLoss& pathloss) {
+  const std::size_t ncx = key.ncx;
+  const std::size_t ncy = key.ncy;
+  const auto offset_dist = [&](std::size_t adx, std::size_t ady) {
+    const double dx = static_cast<double>(adx) * key.cell;
+    const double dy = static_cast<double>(ady) * key.cell;
+    return std::sqrt(dx * dx + dy * dy);
+  };
+
+  // Kernel, mirrored along Δcy: row |Δcx|, column Δcy + ncy − 1. Near
+  // offsets hold +0.0 so the far pass can add them unconditionally.
+  const std::size_t width = 2 * ncy - 1;
+  kernel_.resize(ncx * width);  // udwn-lint: allow(hot-path-alloc): only
+                                // on a table-key change
+  for (std::size_t adx = 0; adx < ncx; ++adx) {
+    double* row = kernel_.data() + adx * width + (ncy - 1);
+    for (std::size_t ady = 0; ady < ncy; ++ady) {
+      const double d = offset_dist(adx, ady);
+      const double k = d < key.rho ? 0.0 : pathloss.signal(d);
+      row[ady] = k;
+      *(row - ady) = k;
+    }
+  }
+
+  // Near stencil: for each |Δcx| with a near offset, the largest |Δcy| with
+  // d_cc < ρ. d_cc grows with both |Δcx| and |Δcy|, so the near offsets of
+  // one Δcx row are exactly |Δcy| <= that bound, and the rows stop at the
+  // first |Δcx| whose Δcy = 0 offset is already far.
+  near_half_.clear();
+  for (std::size_t adx = 0; adx < ncx && offset_dist(adx, 0) < key.rho;
+       ++adx) {
+    std::size_t half = 0;
+    while (half + 1 < ncy && offset_dist(adx, half + 1) < key.rho) ++half;
+    near_half_.push_back(  // udwn-lint: allow(hot-path-alloc): only on a
+                           // table-key change
+        static_cast<std::int32_t>(half));
+  }
+  table_key_ = key;
+}
+
 bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
                                    const PathLoss& pathloss,
                                    std::span<const NodeId> transmitters,
@@ -46,7 +88,6 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
   const std::size_t n = metric.size();
   const std::span<const Vec2> pts = metric.positions();
   const double cell = params.cell;
-  const double rho = params.rho;
   if (n == 0) {
     field.clear();
     return true;
@@ -71,23 +112,19 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
     return false;
   const std::size_t ncells = ncx * ncy;
 
-  // Translation-invariant per-offset tables: the center-to-center distance
-  // (and its signal) depends only on the integer cell offset (|Δcx|, |Δcy|),
-  // so one libm pow per distinct offset covers every cell pair. Both the
-  // near predicate and the far aggregation below read the *same* table
-  // entry, so "near" is exactly the complement of "aggregated".
-  offset_dist_.resize(ncells);   // udwn-lint: allow(hot-path-alloc): per-slot
-                                 // scratch, reuses capacity at steady state
-  offset_signal_.resize(ncells); // udwn-lint: allow(hot-path-alloc): per-slot
-                                 // scratch, reuses capacity at steady state
-  for (std::size_t adx = 0; adx < ncx; ++adx)
-    for (std::size_t ady = 0; ady < ncy; ++ady) {
-      const double dx = static_cast<double>(adx) * cell;
-      const double dy = static_cast<double>(ady) * cell;
-      const double d = std::sqrt(dx * dx + dy * dy);
-      offset_dist_[adx * ncy + ady] = d;
-      offset_signal_[adx * ncy + ady] = pathloss.signal(d);
-    }
+  // Translation-invariant offset tables: the center-to-center distance (and
+  // its signal) depends only on the integer cell offset, so one libm pow per
+  // distinct offset covers every cell pair. The near stencil and the zeroed
+  // kernel entries come from the *same* distance test, so "near" is exactly
+  // the complement of "aggregated".
+  const TableKey key{.ncx = ncx,
+                     .ncy = ncy,
+                     .cell = cell,
+                     .rho = params.rho,
+                     .power = pathloss.power(),
+                     .zeta = pathloss.zeta(),
+                     .near_limit = pathloss.near_limit()};
+  if (key != table_key_) build_tables(key, pathloss);
 
   // Listener cell ids (parallel: chunks partition nodes, writes disjoint).
   listener_cell_.resize(n);  // udwn-lint: allow(hot-path-alloc): per-slot
@@ -121,105 +158,120 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
   }
   std::sort(tx_sorted_.begin(), tx_sorted_.end());
 
-  // Distinct transmitter cells as a CSR over tx_sorted_.
-  txc_cell_.clear();
-  txc_begin_.clear();
+  // Flat transmitter copies in (cell, slot) order; cell_start_[c] = number
+  // of transmitters in cells with a smaller key, so the transmitters of
+  // cells c .. c' − 1 are the contiguous run cell_start_[c] ..
+  // cell_start_[c'] − 1. Distinct transmitter cells get their grid
+  // coordinates and count for the far pass.
+  tx_.resize(count);  // udwn-lint: allow(hot-path-alloc): per-slot
+  cell_start_.assign(  // udwn-lint: allow(hot-path-alloc): per-slot
+      ncells + 1, 0);
+  tx_cells_.clear();
   for (std::size_t i = 0; i < count; ++i) {
-    if (i == 0 || tx_sorted_[i].first != tx_sorted_[i - 1].first) {
-      txc_cell_.push_back(   // udwn-lint: allow(hot-path-alloc): per-slot
-          static_cast<std::uint32_t>(tx_sorted_[i].first));
-      txc_begin_.push_back(  // udwn-lint: allow(hot-path-alloc): per-slot
-          static_cast<std::uint32_t>(i));
-    }
+    const std::uint32_t id = transmitters[tx_sorted_[i].second].value;
+    tx_[i] = {pts[id].x, pts[id].y, id};
+    const std::uint64_t c = tx_sorted_[i].first;
+    ++cell_start_[c + 1];
+    if (i == 0 || c != tx_sorted_[i - 1].first)
+      tx_cells_.push_back(  // udwn-lint: allow(hot-path-alloc): per-slot
+          {static_cast<std::int32_t>(c / ncy),
+           static_cast<std::int32_t>(c % ncy), 0.0});
+    tx_cells_.back().count += 1.0;
   }
-  txc_begin_.push_back(      // udwn-lint: allow(hot-path-alloc): per-slot
-      static_cast<std::uint32_t>(count));
-  const std::size_t tx_cells = txc_cell_.size();
+  for (std::size_t c = 0; c < ncells; ++c) cell_start_[c + 1] += cell_start_[c];
+  const std::size_t tx_cells = tx_cells_.size();
 
-  // Near lists: for each transmitter cell, append it to every listener cell
-  // within ρ of its center (a bounded window scan). Two passes build a CSR
-  // without growth; order is (transmitter cell ascending) per listener
-  // cell, so the exact near sweep below is deterministic.
-  near_count_.assign(ncells, 0);  // udwn-lint: allow(hot-path-alloc): scratch
-  const std::size_t kr =
-      static_cast<std::size_t>(std::ceil(rho / cell)) + 1;
-  const auto for_each_near_cell = [&](std::size_t t, auto&& fn) {
-    const std::size_t tcx = txc_cell_[t] / ncy;
-    const std::size_t tcy = txc_cell_[t] % ncy;
-    const std::size_t cx_lo = tcx > kr ? tcx - kr : 0;
-    const std::size_t cx_hi = std::min(ncx - 1, tcx + kr);
-    const std::size_t cy_lo = tcy > kr ? tcy - kr : 0;
-    const std::size_t cy_hi = std::min(ncy - 1, tcy + kr);
-    for (std::size_t cx = cx_lo; cx <= cx_hi; ++cx) {
-      const std::size_t adx = cx > tcx ? cx - tcx : tcx - cx;
-      for (std::size_t cy = cy_lo; cy <= cy_hi; ++cy) {
-        const std::size_t ady = cy > tcy ? cy - tcy : tcy - cy;
-        if (offset_dist_[adx * ncy + ady] < rho) fn(cx * ncy + cy);
-      }
-    }
-  };
-  for (std::size_t t = 0; t < tx_cells; ++t)
-    for_each_near_cell(t, [&](std::size_t c) { ++near_count_[c]; });
-  near_begin_.resize(ncells + 1);  // udwn-lint: allow(hot-path-alloc): scratch
-  near_begin_[0] = 0;
-  for (std::size_t c = 0; c < ncells; ++c)
-    near_begin_[c + 1] = near_begin_[c] + near_count_[c];
-  const std::size_t near_total = near_begin_[ncells];
-  near_idx_.resize(near_total);  // udwn-lint: allow(hot-path-alloc): scratch
-  std::fill(near_count_.begin(), near_count_.end(), 0);
-  for (std::size_t t = 0; t < tx_cells; ++t)
-    for_each_near_cell(t, [&](std::size_t c) {
-      near_idx_[near_begin_[c] + near_count_[c]++] =
-          static_cast<std::uint32_t>(t);
-    });
-
-  // Far aggregation per listener cell: every transmitter cell at center
-  // distance >= ρ contributes count · signal(d_cc). Cells partition the
-  // work; each cell's sum accumulates in transmitter-cell order, so the
-  // result is thread-count independent.
+  // Far aggregation per listener cell: every transmitter cell contributes
+  // count · kernel(Δc), which is +0.0 for near offsets (the exact near
+  // sweep covers those). Work is split into blocks of kBlock adjacent cells
+  // of one grid row; each cell keeps its own accumulator summing in
+  // ascending tx-cell order, so the result is the same for any block width
+  // or thread count.
+  constexpr std::size_t kBlock = 8;
   far_sum_.resize(ncells);  // udwn-lint: allow(hot-path-alloc): per-slot
                             // scratch, reuses capacity at steady state
+  const std::size_t width = 2 * ncy - 1;
+  const std::size_t row_blocks = (ncy + kBlock - 1) / kBlock;
+  const double* kernel = kernel_.data();
+  const TxCell* txc = tx_cells_.data();
+  // Kernel entries for listener cells (cx, cy0 + j), j = 0, 1, …, against
+  // tx cell t: row |cx − tcx|, columns from (ncy − 1) + cy0 − tcy on.
+  const auto kernel_run = [&](std::int32_t cx, std::size_t cy0,
+                              std::size_t t) {
+    return kernel +
+           static_cast<std::size_t>(std::abs(cx - txc[t].cx)) * width +
+           (ncy - 1 + cy0 - static_cast<std::size_t>(txc[t].cy));
+  };
   auto far_body = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t c = lo; c < hi; ++c) {
-      const std::size_t ccx = c / ncy;
-      const std::size_t ccy = c % ncy;
-      double acc = 0;
-      for (std::size_t t = 0; t < tx_cells; ++t) {
-        const std::size_t tcx = txc_cell_[t] / ncy;
-        const std::size_t tcy = txc_cell_[t] % ncy;
-        const std::size_t adx = ccx > tcx ? ccx - tcx : tcx - ccx;
-        const std::size_t ady = ccy > tcy ? ccy - tcy : tcy - ccy;
-        const std::size_t off = adx * ncy + ady;
-        if (offset_dist_[off] < rho) continue;  // exact near sweep covers it
-        acc += static_cast<double>(txc_begin_[t + 1] - txc_begin_[t]) *
-               offset_signal_[off];
+    for (std::size_t b = lo; b < hi; ++b) {
+      const auto cx = static_cast<std::int32_t>(b / row_blocks);
+      const std::size_t cy0 = (b % row_blocks) * kBlock;
+      const std::size_t cells = std::min(kBlock, ncy - cy0);
+      double* out = far_sum_.data() + static_cast<std::size_t>(cx) * ncy + cy0;
+      if (cells == kBlock) {
+        double acc[kBlock] = {};
+        for (std::size_t t = 0; t < tx_cells; ++t) {
+          const double* k = kernel_run(cx, cy0, t);
+          const double w = txc[t].count;
+#pragma GCC unroll 8  // keep acc[] in registers
+          for (std::size_t j = 0; j < kBlock; ++j) acc[j] += w * k[j];
+        }
+        std::copy(acc, acc + kBlock, out);
+      } else {  // ragged row end
+        for (std::size_t j = 0; j < cells; ++j) {
+          double acc = 0;
+          for (std::size_t t = 0; t < tx_cells; ++t)
+            acc += txc[t].count * kernel_run(cx, cy0, t)[j];
+          out[j] = acc;
+        }
       }
-      far_sum_[c] = acc;
     }
   };
   if (pool != nullptr) {
-    pool->run_chunks(0, ncells, far_body);
+    pool->run_chunks(0, ncx * row_blocks, far_body);
   } else {
-    far_body(0, ncells);
+    far_body(0, ncx * row_blocks);
   }
 
   // Finalize per listener: aggregated far signal plus the exact sum over
   // every transmitter in a near cell (self excluded — a transmitter's own
-  // cell is always near, d_cc = 0). Listeners partition the work; each
-  // listener's sum runs in (near cell, slot order) — deterministic.
+  // cell is always near, d_cc = 0). The near cells of one stencil row
+  // Δcx are a contiguous cy range, so their transmitters are one run of the
+  // sorted copies; rows are walked in ascending Δcx, which makes each
+  // listener's sum run in (near cell, slot order) — deterministic.
+  // Listeners partition the work. The terms are
+  // PathLoss::signal(EuclideanMetric::distance(u, v)) written out:
+  // P / max(hypot(u − v), near_limit)^ζ.
   field.resize(n);  // udwn-lint: allow(hot-path-alloc): per-slot output,
                     // reuses capacity at steady state
+  const double power = pathloss.power();
+  const double zeta = pathloss.zeta();
+  const double near_limit = pathloss.near_limit();
+  const auto rows = static_cast<std::int32_t>(near_half_.size());
+  const auto gx = static_cast<std::int32_t>(ncx);
+  const auto gy = static_cast<std::int32_t>(ncy);
   auto finalize_body = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t v = lo; v < hi; ++v) {
       const std::size_t c = listener_cell_[v];
-      const NodeId listener(static_cast<std::uint32_t>(v));
+      const auto cx = static_cast<std::int32_t>(c / ncy);
+      const auto cy = static_cast<std::int32_t>(c % ncy);
+      const double px = pts[v].x;
+      const double py = pts[v].y;
       double acc = far_sum_[c];
-      for (std::uint32_t k = near_begin_[c]; k < near_begin_[c + 1]; ++k) {
-        const std::uint32_t t = near_idx_[k];
-        for (std::uint32_t m = txc_begin_[t]; m < txc_begin_[t + 1]; ++m) {
-          const NodeId u = transmitters[tx_sorted_[m].second];
-          if (u.value == v) continue;
-          acc += pathloss.signal(metric.distance(u, listener));
+      for (std::int32_t r = std::max(0, cx - rows + 1),
+                        r_end = std::min(gx, cx + rows);
+           r < r_end; ++r) {
+        const std::int32_t half = near_half_[std::abs(r - cx)];
+        const std::size_t row = static_cast<std::size_t>(r) * ncy;
+        const std::uint32_t m_end = cell_start_[
+            row + static_cast<std::size_t>(std::min(gy, cy + half + 1))];
+        for (std::uint32_t m = cell_start_[
+                 row + static_cast<std::size_t>(std::max(0, cy - half))];
+             m < m_end; ++m) {
+          const NearTx& u = tx_[m];
+          if (u.id == v) continue;
+          const double d = std::hypot(u.x - px, u.y - py);
+          acc += power / std::pow(d < near_limit ? near_limit : d, zeta);
         }
       }
       field[v] = acc;

@@ -23,6 +23,17 @@
 //   summed exactly, and every term is non-negative, so the *summed* field
 //   obeys |approx(v) − exact(v)| <= ε · exact(v) for every listener.
 //
+// The result, bit for bit: the grid starts at the bounding-box minimum
+// (x0, y0) of all points and has ncx = ⌊(x1 − x0)/S⌋ + 1 columns and
+// ncy = ⌊(y1 − y0)/S⌋ + 1 rows. A node at (x, y) sits in cell
+// (cx, cy) = (min(⌊(x − x0)/S⌋, ncx − 1), min(⌊(y − y0)/S⌋, ncy − 1)),
+// key cx · ncy + cy. Two cells are d_cc = √(dx² + dy²) apart, with
+// dx = |Δcx|·S and dy = |Δcy|·S. field[v] is one left-to-right double sum,
+// starting at 0: first count · signal(d_cc) over the distinct transmitter
+// cells with d_cc >= ρ, in ascending key order; then signal(d(u, v)) over
+// the transmitters u != v in the cells with d_cc < ρ, in ascending key
+// order and slot order within a cell.
+//
 // far_field_params inverts the bound: given a target ε it derives
 // β = (1+ε)^(1/ζ) − 1 and the separation radius ρ = δ/β, refusing
 // (nullopt → caller runs the exact kernel) whenever the certificate cannot
@@ -31,20 +42,46 @@
 //
 // Cost: per slot, one pass bucketing the |S| transmitters into cells, a
 // cells × tx-cells aggregation whose signal factors come from a
-// translation-invariant (Δx, Δy) lookup table (one pow per distinct cell
-// offset, not per pair), and an exact near sweep whose per-listener work is
-// bounded by the O(ρ²·density) transmitters nearby — independent of n. The
-// O(|S|·n) pairwise wall disappears.
+// translation-invariant offset table (one pow per distinct cell offset, not
+// per pair), and an exact near sweep whose per-listener work is bounded by
+// the O(ρ²·density) transmitters nearby — independent of n. The O(|S|·n)
+// pairwise wall disappears. Three choices keep the constant small without
+// changing a single bit of the result:
+//   - Kernel table with zeroed near offsets. The far pass reads a kernel
+//     that holds signal(d_cc) at far offsets and +0.0 at near offsets
+//     (d_cc < ρ), so it adds every tx cell unconditionally instead of
+//     branching. Adding count · (+0.0) = +0.0 to a non-negative partial sum
+//     changes no bit — the same argument as gain_table.h's zeroed diagonal.
+//   - Blocked accumulators. The kernel is stored mirrored along Δy (one row
+//     per |Δcx|, columns Δcy = −(ncy−1) … ncy−1), so K adjacent listener
+//     cells of one grid row read K contiguous entries per tx cell. The far
+//     pass carries K independent accumulators, one per listener cell, each
+//     still summing in ascending tx-cell order; ragged row ends take a
+//     scalar path. Tx cells are pre-split into (cx, cy) and a double count
+//     once per slot, so the inner loop does no integer division.
+//   - Cached tables. The kernel and the near stencil (for each |Δcx|, the
+//     largest |Δcy| with d_cc < ρ) depend only on the grid shape
+//     (ncx, ncy), the cell side, ρ and the path-loss values (P, ζ, near
+//     limit) — not on the layout's origin or on which nodes transmit. They
+//     are rebuilt only when that key changes; the key holds the path-loss
+//     *values*, since power-scaled slots pass a temporary PathLoss.
+// The near sweep needs no per-slot near lists: the near cells of one
+// stencil row are a contiguous cy range, so with the transmitters copied
+// flat in (cell key, slot) order and a per-cell start index, each row's
+// near transmitters are one contiguous run. It evaluates the same
+// expressions as EuclideanMetric::distance and PathLoss::signal inline.
 //
 // Determinism: the result is a pure function of (positions, transmitters,
-// params). Cells are walked in row-major key order, near lists are built
-// serially in (cell, transmitter-slot) order, and parallel phases partition
-// listeners/cells without ever splitting one accumulation — so any thread
-// count produces bit-identical fields (the determinism audit checks
-// far-field rows for exactly this self-determinism; the approximation is
-// *not* bit-identical to the exact kernels, only ε-certified against them).
+// params). Every far sum runs over tx cells in ascending key order, every
+// near sum over transmitters in (cell key, slot) order, and parallel phases
+// partition listeners/cells without ever splitting one accumulation — so
+// any thread count produces bit-identical fields (the determinism audit
+// checks far-field rows for exactly this self-determinism; the
+// approximation is *not* bit-identical to the exact kernels, only
+// ε-certified against them).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -76,8 +113,9 @@ struct FarFieldParams {
     double eps, double cell, const PathLoss& pathloss);
 
 /// Reusable scratch for the approximate field (one per SlotWorkspace).
-/// Buffers are sized per slot but reuse capacity, so steady-state slots at
-/// a stable instance size do not allocate.
+/// Buffers are sized per slot but reuse capacity, and the offset tables are
+/// rebuilt only when their key changes ("Cached tables" above), so
+/// steady-state slots at a stable instance size do not allocate.
 class FarFieldWorkspace {
  public:
   /// Approximate interference field into `field` (resized to metric.size();
@@ -91,22 +129,52 @@ class FarFieldWorkspace {
                            std::vector<double>& field, TaskPool* pool);
 
  private:
+  // Inputs the cached offset tables depend on (see "Cached tables" above).
+  struct TableKey {
+    std::size_t ncx = 0;
+    std::size_t ncy = 0;
+    double cell = 0;
+    double rho = 0;
+    double power = 0;
+    double zeta = 0;
+    double near_limit = 0;
+    friend bool operator==(const TableKey&, const TableKey&) = default;
+  };
+  void build_tables(const TableKey& key, const PathLoss& pathloss);
+
+  // Cached per table key: far-field kernel, ncx rows of 2·ncy − 1 entries,
+  // entry [|Δcx|][Δcy + ncy − 1] = signal(d_cc), or +0.0 where d_cc < ρ;
+  // and the near stencil, near_half_[|Δcx|] = largest |Δcy| with d_cc < ρ
+  // (rows with no near offset are left out).
+  TableKey table_key_;
+  std::vector<double> kernel_;
+  std::vector<std::int32_t> near_half_;
+
   // Listener cell index per node.
   std::vector<std::uint32_t> listener_cell_;
   // Transmitters sorted by (cell key, slot order): first = cell key,
   // second = index into the slot's transmitter span.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> tx_sorted_;
-  // Distinct transmitter cells (CSR over tx_sorted_).
-  std::vector<std::uint32_t> txc_cell_;
-  std::vector<std::uint32_t> txc_begin_;  // size txc_cell_.size() + 1
-  // Translation-invariant per-offset tables: index |Δcx| * ncy + |Δcy|.
-  std::vector<double> offset_dist_;
-  std::vector<double> offset_signal_;
-  // Per-cell aggregated far signal and exact-near CSR (tx-cell indices).
+  // Transmitter position and id in tx_sorted_ order.
+  struct NearTx {
+    double x;
+    double y;
+    std::uint32_t id;
+  };
+  std::vector<NearTx> tx_;
+  // Per cell key c: index in tx_ of the first transmitter with cell key
+  // >= c (size ncells + 1).
+  std::vector<std::uint32_t> cell_start_;
+  // Distinct transmitter cells in ascending key order: grid coordinates
+  // and transmitter count.
+  struct TxCell {
+    std::int32_t cx;
+    std::int32_t cy;
+    double count;
+  };
+  std::vector<TxCell> tx_cells_;
+  // Per-cell aggregated far signal.
   std::vector<double> far_sum_;
-  std::vector<std::uint32_t> near_count_;
-  std::vector<std::uint32_t> near_begin_;  // size ncells + 1
-  std::vector<std::uint32_t> near_idx_;
 };
 
 }  // namespace udwn

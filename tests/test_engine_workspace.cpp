@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -100,6 +101,65 @@ TEST_P(SteadyStateAllocation, SlotPerformsNoHeapAllocation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, SteadyStateAllocation,
+                         ::testing::Values(1, 2),
+                         [](const auto& info) {
+                           return "threads" +
+                                  std::to_string(info.param);
+                         });
+
+class FarFieldAllocation : public ::testing::TestWithParam<int> {};
+
+constexpr double kTransmitProbability = 0.1;
+
+TEST_P(FarFieldAllocation, SlotPerformsNoHeapAllocation) {
+  // The certified far field keeps offset tables cached across slots and
+  // per-slot scratch sized by the transmitter count. With a real protocol
+  // drawing a different transmitter set every slot, warm rounds must still
+  // not touch the heap.
+  constexpr std::size_t kNodes = 1024;
+  const double extent = std::sqrt(static_cast<double>(kNodes) / 8.0);
+  Scenario scenario(test::random_points(kNodes, extent, 8106),
+                    test::default_config());
+  const SlotWorkspaceConfig far{.far_field_eps = 0.5,
+                                .far_field_cell_factor = 0.25};
+
+  // The layout really takes the far-field path: its field differs from the
+  // exact one.
+  {
+    SlotWorkspace ws(far);
+    Rng rng(8107);
+    std::vector<NodeId> txs;
+    for (std::uint32_t v = 0; v < kNodes; ++v)
+      if (rng.chance(kTransmitProbability)) txs.push_back(NodeId(v));
+    const Network& network = scenario.network();
+    const SlotOutcome exact =
+        scenario.channel().resolve(txs, network.alive_mask(), 1.0);
+    const SlotOutcome& got = scenario.channel().resolve_into(
+        txs, network.alive_mask(), 1.0, network.topology_epoch(), ws);
+    ASSERT_NE(exact.interference, got.interference);
+  }
+
+  auto protocols = make_protocols(scenario.network().size(), [](NodeId) {
+    return std::make_unique<FixedProbabilityProtocol>(kTransmitProbability);
+  });
+  const CarrierSensing sensing = scenario.sensing_local();
+  Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
+                EngineConfig{.slots_per_round = 2,
+                             .seed = 42,
+                             .threads = GetParam(),
+                             .far_field_eps = far.far_field_eps,
+                             .far_field_cell_factor =
+                                 far.far_field_cell_factor});
+  // Warm-up: as above, long enough that every node has transmitted once
+  // (1024 · 0.9^120 < 0.01 nodes expected to be left).
+  for (int r = 0; r < 60; ++r) engine.step();
+
+  EXPECT_EQ(allocations_during_rounds(engine, 40), 0)
+      << "far-field steady-state rounds must not allocate (threads="
+      << GetParam() << ")";
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, FarFieldAllocation,
                          ::testing::Values(1, 2),
                          [](const auto& info) {
                            return "threads" +

@@ -4,12 +4,19 @@
 // epochs, and every thread count; the approximate field itself must be
 // self-deterministic (bitwise) across thread counts. Parameter derivation
 // edge cases (infeasible ε, near-limit clamp, ζ < 1) must refuse with
-// nullopt so the pipeline falls back to the exact kernels.
+// nullopt so the pipeline falls back to the exact kernels. A naive
+// evaluation of the bit-exact definition in far_field.h pins every field
+// value across awkward grid shapes, thread counts and workspace reuse.
 #include "phy/far_field.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -40,6 +47,95 @@ void expect_certified(const std::vector<double>& exact,
     EXPECT_LE(std::abs(approx[v] - exact[v]), slack)
         << "node " << v << " exact=" << exact[v] << " approx=" << approx[v];
   }
+}
+
+// The far field written straight from its bit-exact definition in
+// far_field.h, with no tables, blocking or caching.
+struct ReferenceField {
+  std::vector<double> field;
+  std::size_t ncx = 0;
+  std::size_t ncy = 0;
+  std::size_t far_terms = 0;        // aggregated (listener, tx cell) pairs
+  std::size_t max_cell_tx = 0;      // most transmitters in one cell
+  std::size_t shared_tx_cells = 0;  // transmitters sharing their cell with
+                                    // another node
+};
+
+ReferenceField reference_far_field(const EuclideanMetric& metric,
+                                   const PathLoss& pl,
+                                   const std::vector<NodeId>& txs,
+                                   const FarFieldParams& params) {
+  const auto pts = metric.positions();
+  const double s = params.cell;
+  double x0 = pts[0].x, x1 = pts[0].x, y0 = pts[0].y, y1 = pts[0].y;
+  for (const Vec2 p : pts) {
+    x0 = std::min(x0, p.x);
+    x1 = std::max(x1, p.x);
+    y0 = std::min(y0, p.y);
+    y1 = std::max(y1, p.y);
+  }
+  ReferenceField ref;
+  ref.ncx = static_cast<std::size_t>((x1 - x0) / s) + 1;
+  ref.ncy = static_cast<std::size_t>((y1 - y0) / s) + 1;
+  const auto cell_of = [&](Vec2 p) {
+    const std::size_t cx =
+        std::min(static_cast<std::size_t>((p.x - x0) / s), ref.ncx - 1);
+    const std::size_t cy =
+        std::min(static_cast<std::size_t>((p.y - y0) / s), ref.ncy - 1);
+    return cx * ref.ncy + cy;
+  };
+  // Transmitters per cell key, ascending key, slot order within a cell.
+  std::map<std::size_t, std::vector<NodeId>> tx_cells;
+  for (const NodeId u : txs) tx_cells[cell_of(pts[u.value])].push_back(u);
+  std::vector<std::size_t> nodes_per_cell(ref.ncx * ref.ncy, 0);
+  for (const Vec2 p : pts) ++nodes_per_cell[cell_of(p)];
+  for (const auto& [key, members] : tx_cells) {
+    ref.max_cell_tx = std::max(ref.max_cell_tx, members.size());
+    if (nodes_per_cell[key] > 1) ref.shared_tx_cells += members.size();
+  }
+
+  const auto d_cc = [&](std::size_t a, std::size_t b) {
+    const auto diff = [](std::size_t p, std::size_t q) {
+      return static_cast<double>(p > q ? p - q : q - p);
+    };
+    const double dx = diff(a / ref.ncy, b / ref.ncy) * s;
+    const double dy = diff(a % ref.ncy, b % ref.ncy) * s;
+    return std::sqrt(dx * dx + dy * dy);
+  };
+  ref.field.resize(pts.size());
+  for (std::uint32_t v = 0; v < pts.size(); ++v) {
+    const std::size_t c = cell_of(pts[v]);
+    double acc = 0;
+    for (const auto& [key, members] : tx_cells) {
+      const double d = d_cc(c, key);
+      if (d < params.rho) continue;
+      acc += static_cast<double>(members.size()) * pl.signal(d);
+      ++ref.far_terms;
+    }
+    for (const auto& [key, members] : tx_cells) {
+      if (d_cc(c, key) >= params.rho) continue;
+      for (const NodeId u : members)
+        if (u.value != v) acc += pl.signal(metric.distance(u, NodeId(v)));
+    }
+    ref.field[v] = acc;
+  }
+  return ref;
+}
+
+// Points uniform in [0, width] × [0, height].
+std::vector<Vec2> random_rect(std::size_t n, double width, double height,
+                              std::uint64_t seed) {
+  std::vector<Vec2> pts = test::random_points(n, 1.0, seed);
+  for (Vec2& p : pts) p = {p.x * width, p.y * height};
+  return pts;
+}
+
+void expect_bitwise(const std::vector<double>& want,
+                    const std::vector<double>& got, const char* label) {
+  SCOPED_TRACE(label);
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t v = 0; v < want.size(); ++v)
+    EXPECT_EQ(want[v], got[v]) << "node " << v;  // bitwise, not NEAR
 }
 
 TEST(FarFieldParams, DerivesCertificateFromEpsilon) {
@@ -138,6 +234,99 @@ TEST(FarField, BitwiseSelfDeterministicAcrossThreadCounts) {
   std::vector<double> repeat;
   ASSERT_TRUE(serial_ws.field_into(metric, pl, txs, *params, repeat, nullptr));
   for (std::size_t v = 0; v < n; ++v) EXPECT_EQ(serial[v], repeat[v]);
+}
+
+TEST(FarField, MatchesBitExactDefinition) {
+  // ε = 2 at ζ = 3 puts ρ at ~3.2 cells, so even the small layouts below
+  // aggregate most tx cells. Each layout stresses one part of the blocked
+  // far pass or the near sweep.
+  const double cell = 0.3;
+  struct Layout {
+    const char* name;
+    std::vector<Vec2> points;
+    double p;                                // transmit probability
+    bool (*has_shape)(const ReferenceField&);  // the layout is what it says
+  };
+  const Layout layouts[] = {
+      // ncy below the far pass's block width: every row is a ragged end.
+      {"short rows", random_rect(600, 24.0, 1.5, 9801), 0.2,
+       [](const ReferenceField& r) { return r.ncy < 8; }},
+      // ncy above the block width and not a multiple of it.
+      {"ragged rows", random_rect(800, 12.0, 3.9, 9802), 0.2,
+       [](const ReferenceField& r) { return r.ncy > 8 && r.ncy % 8 != 0; }},
+      // A single grid column.
+      {"one column", random_rect(300, 0.2, 30.0, 9803), 0.3,
+       [](const ReferenceField& r) { return r.ncx == 1; }},
+      // Several transmitters per cell.
+      {"crowded cells", random_rect(1500, 6.0, 6.0, 9804), 0.5,
+       [](const ReferenceField& r) { return r.max_cell_tx >= 3; }},
+  };
+  for (const Layout& layout : layouts) {
+    SCOPED_TRACE(layout.name);
+    EuclideanMetric metric(layout.points);
+    Rng rng(71);
+    const auto txs = sample_ids(layout.points.size(), layout.p, rng);
+    for (const double power : {1.0, 0.37}) {  // 0.37: a power-scaled slot
+      const PathLoss pl(power, 3.0, 1e-3);
+      const auto params = far_field_params(2.0, cell, pl);
+      ASSERT_TRUE(params.has_value());
+      const ReferenceField ref = reference_far_field(metric, pl, txs, *params);
+      EXPECT_TRUE(layout.has_shape(ref));
+      // Far aggregation engages, and some transmitter shares its cell with
+      // other listeners (its own cell is near, its self term skipped).
+      EXPECT_GT(ref.far_terms, 0u);
+      EXPECT_GT(ref.shared_tx_cells, 0u);
+      for (const int threads : {1, 2, 3, 5}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        TaskPool pool(threads);
+        FarFieldWorkspace ws;
+        std::vector<double> got;
+        ASSERT_TRUE(ws.field_into(metric, pl, txs, *params, got,
+                                  threads > 1 ? &pool : nullptr));
+        expect_bitwise(ref.field, got, "vs definition");
+      }
+    }
+  }
+}
+
+TEST(FarField, ReusedWorkspaceMatchesFreshOne) {
+  // One workspace carries cached offset tables from call to call; each
+  // change below alters their key and must give a fresh workspace's bits.
+  const double cell = 0.3;
+  EuclideanMetric metric(test::random_points(900, 9.0, 9810));
+  Rng rng(73);
+  FarFieldWorkspace reused;
+  TaskPool pool(2);
+  std::pair<std::size_t, std::size_t> shape;  // (ncx, ncy) of the last call
+  const auto check = [&](const PathLoss& pl, const char* label) {
+    SCOPED_TRACE(label);
+    const auto params = far_field_params(2.0, cell, pl);
+    ASSERT_TRUE(params.has_value());
+    const auto txs = sample_ids(metric.size(), 0.25, rng);
+    std::vector<double> warm;
+    std::vector<double> fresh;
+    ASSERT_TRUE(reused.field_into(metric, pl, txs, *params, warm, &pool));
+    FarFieldWorkspace fresh_ws;
+    ASSERT_TRUE(fresh_ws.field_into(metric, pl, txs, *params, fresh, &pool));
+    expect_bitwise(fresh, warm, "reused vs fresh");
+    const ReferenceField ref = reference_far_field(metric, pl, txs, *params);
+    expect_bitwise(ref.field, warm, "reused vs definition");
+    shape = {ref.ncx, ref.ncy};
+  };
+  const PathLoss pl(1.0, 3.0, 1e-3);
+  check(pl, "first call");
+  // Power scale change on the same layout.
+  check(PathLoss(0.25, 3.0, 1e-3), "power scaled");
+  check(pl, "power restored");
+  // A move that widens the bounding box: new grid shape.
+  const auto old_shape = shape;
+  metric.set_position(NodeId(0), {11.5, 4.0});
+  check(pl, "grid shape changed");
+  EXPECT_NE(shape, old_shape);
+  // A different instance size.
+  metric.add_point({3.0, 12.7});
+  metric.add_point({-1.2, 0.4});
+  check(pl, "instance grew");
 }
 
 TEST(FarField, PipelineFieldCertifiedUnderChurnAndMobility) {
