@@ -18,6 +18,7 @@ Obs::Obs(ObsConfig config)
   ids_.gain_misses = metrics_.counter("gain_table.misses");
   ids_.gain_evictions = metrics_.counter("gain_table.evictions");
   ids_.gain_fills = metrics_.counter("gain_table.fills");
+  ids_.gain_cells = metrics_.counter("gain_table.cells");
   ids_.gain_fallbacks = metrics_.counter("gain_table.fallbacks");
   ids_.gain_disabled_binds = metrics_.counter("gain_table.disabled_binds");
   ids_.pool_jobs = metrics_.counter("task_pool.jobs");

@@ -65,6 +65,7 @@ struct EngineCounterIds {
   MetricId gain_misses = kInvalidMetric;
   MetricId gain_evictions = kInvalidMetric;
   MetricId gain_fills = kInvalidMetric;
+  MetricId gain_cells = kInvalidMetric;
   MetricId gain_fallbacks = kInvalidMetric;
   MetricId gain_disabled_binds = kInvalidMetric;
   // TaskPool (published as per-round deltas by the engine).

@@ -68,12 +68,16 @@ void GainTable::bind(const QuasiMetric& metric, const PathLoss& pathloss) {
   lru_tail_ = kInvalid;
   used_slots_ = 0;
   pass_ = 0;
+  col_version_.clear();
+  tracked_version_ = metric.version();
+  horizon_ = tracked_version_;
   if (!enabled_) return;
 
   tile_slot_.assign(n_ * blocks_, kInvalid);
   tile_stamp_.assign(n_ * blocks_, 0);
   // Sized here, at bind time; steady-state apply_delta only std::fills it.
   block_dirty_.assign(blocks_, 0);  // udwn-lint: allow(hot-path-alloc): bind
+  col_version_.assign(n_, 0);  // udwn-lint: allow(hot-path-alloc): bind
   slot_tile_.reserve(max_tiles_);
   lru_prev_.reserve(max_tiles_);
   lru_next_.reserve(max_tiles_);
@@ -126,20 +130,40 @@ std::uint32_t GainTable::acquire_slot() {
   return slot;
 }
 
-void GainTable::fill_tile(std::size_t tile) {
-  const std::size_t u = tile / blocks_;
-  const std::size_t b = tile - u * blocks_;
+void GainTable::fill_tile(const PendingFill& fill) {
+  const std::size_t u = fill.tile / blocks_;
+  const std::size_t b = fill.tile - u * blocks_;
   const std::size_t begin = block_begin(b);
   const std::size_t count = block_cols(b);
   double* dst = storage_.data() +
-                static_cast<std::size_t>(tile_slot_[tile]) * stride_;
+                static_cast<std::size_t>(tile_slot_[fill.tile]) * stride_;
   const NodeId id(static_cast<std::uint32_t>(u));
-  for (std::size_t j = 0; j < count; ++j)
-    dst[j] = pathloss_->signal(metric_->distance(
-        id, NodeId(static_cast<std::uint32_t>(begin + j))));
+  const auto gain = [&](std::size_t j) {
+    return pathloss_->signal(
+        metric_->distance(id, NodeId(static_cast<std::uint32_t>(begin + j))));
+  };
+  if (fill.stamp != 0) {
+    // Patch: recompute only the columns that moved since the tile's fill
+    // version. Row u did not (plan_rows checked), so the diagonal is never
+    // among them and keeps its +0.0.
+    const std::uint64_t filled_at = fill.stamp - 1;
+    const std::uint64_t* moved_at = col_version_.data() + begin;
+    for (std::size_t j = 0; j < count; ++j)
+      if (moved_at[j] > filled_at) dst[j] = gain(j);
+    return;
+  }
+  for (std::size_t j = 0; j < count; ++j) dst[j] = gain(j);
   // Diagonal contract: the self entry is +0.0 so kernels can add whole rows
   // without a branch (see file comment in gain_table.h).
   if (u >= begin && u < begin + count) dst[u - begin] = 0.0;
+}
+
+std::size_t GainTable::moved_cols(std::size_t b, std::uint64_t since) const {
+  const std::uint64_t* moved_at = col_version_.data() + block_begin(b);
+  const std::size_t count = block_cols(b);
+  std::size_t moved = 0;
+  for (std::size_t j = 0; j < count; ++j) moved += moved_at[j] > since;
+  return moved;
 }
 
 bool GainTable::plan_rows(std::span<const NodeId> sources) {
@@ -147,7 +171,15 @@ bool GainTable::plan_rows(std::span<const NodeId> sources) {
   if (!enabled_) return false;
   if (sources.empty()) return true;
   UDWN_ASSERT(metric_ != nullptr && pathloss_ != nullptr);
-  const std::uint64_t fresh = metric_->version() + 1;
+  const std::uint64_t version = metric_->version();
+  if (version != tracked_version_) {
+    // The version advanced without a delta: moves went unrecorded, so no
+    // tile filled before now can be patched.
+    tracked_version_ = version;
+    horizon_ = version;
+  }
+  const std::uint64_t fresh = version + 1;
+  std::uint64_t cells = 0;
   ++pass_;
   for (const NodeId u : sources) {
     UDWN_ASSERT(u.value < n_);
@@ -160,7 +192,7 @@ bool GainTable::plan_rows(std::span<const NodeId> sources) {
         if (slot == kInvalid) {
           // Over budget: roll back the freshness claims of tiles queued but
           // not yet filled, then report failure so the caller recomputes.
-          for (const std::size_t t : fill_tiles_) tile_stamp_[t] = 0;
+          for (const PendingFill& f : fill_tiles_) tile_stamp_[f.tile] = 0;
           ++stats_.fallbacks;
           return false;
         }
@@ -172,23 +204,31 @@ bool GainTable::plan_rows(std::span<const NodeId> sources) {
       }
       pin_pass_[slot] = pass_;
       lru_touch(slot);
-      if (tile_stamp_[tile] != fresh) {
+      const std::uint64_t stamp = tile_stamp_[tile];
+      if (stamp != fresh) {
+        // Patch when the tile holds data (stamp != 0) recorded completely
+        // since (filled at or after the horizon) and its row is clean;
+        // otherwise refill in full.
+        const bool patch = stamp != 0 && stamp - 1 >= horizon_ &&
+                           col_version_[u.value] < stamp;
+        cells += patch ? moved_cols(b, stamp - 1) : block_cols(b);
         // Stamp now, fill later (ensure_rows or the caller's fill_planned
         // shards): sources may repeat across calls but tiles enter the fill
         // list exactly once, keeping parallel fills disjoint.
         tile_stamp_[tile] = fresh;
-        fill_tiles_.push_back(tile);
+        fill_tiles_.push_back({tile, patch ? stamp : 0});
       }
     }
   }
   stats_.fills += fill_tiles_.size();
+  stats_.cells += cells;
   return true;
 }
 
 void GainTable::fill_planned(std::size_t block_lo, std::size_t block_hi) {
-  for (const std::size_t tile : fill_tiles_) {
-    const std::size_t b = tile % blocks_;
-    if (b >= block_lo && b < block_hi) fill_tile(tile);
+  for (const PendingFill& fill : fill_tiles_) {
+    const std::size_t b = fill.tile % blocks_;
+    if (b >= block_lo && b < block_hi) fill_tile(fill);
   }
 }
 
@@ -205,7 +245,7 @@ bool GainTable::ensure_rows(std::span<const NodeId> sources, TaskPool* pool) {
                          fill_tile(fill_tiles_[i]);
                      });
   } else {
-    for (const std::size_t tile : fill_tiles_) fill_tile(tile);
+    for (const PendingFill& fill : fill_tiles_) fill_tile(fill);
   }
   return true;
 }
@@ -215,11 +255,18 @@ void GainTable::apply_delta(std::span<const NodeId> dirty,
                             std::uint64_t new_version) {
   if (!enabled_ || prev_version == new_version) return;
   UDWN_EXPECT(prev_version < new_version);
+  // new_version is the metric's current version; plan_rows never saw later.
+  UDWN_ASSERT(new_version >= tracked_version_);
+  // Moves in (tracked_version_, prev_version] never reached this table:
+  // the record is complete only from prev_version on.
+  if (prev_version > tracked_version_) horizon_ = prev_version;
+  tracked_version_ = new_version;
   // Per-block dirty flags: a tile's columns touch a dirty node iff its
   // block is flagged. O(blocks + |dirty|) setup, O(1) per resident tile.
   std::fill(block_dirty_.begin(), block_dirty_.end(), 0);
   for (const NodeId v : dirty) {
     UDWN_ASSERT(v.value < n_);
+    col_version_[v.value] = new_version;
     block_dirty_[blocks_ == 1 ? 0 : v.value >> col_shift_] = 1;
   }
   const std::uint64_t was_fresh = prev_version + 1;
@@ -231,9 +278,7 @@ void GainTable::apply_delta(std::span<const NodeId> dirty,
     const std::size_t u = tile / blocks_;
     const std::size_t b = tile - u * blocks_;
     if (block_dirty_[b]) continue;  // a column may involve a dirty node
-    const bool row_dirty = std::binary_search(
-        dirty.begin(), dirty.end(), NodeId(static_cast<std::uint32_t>(u)));
-    if (row_dirty) continue;  // the whole source row is suspect
+    if (col_version_[u] >= new_version) continue;  // the row is suspect
     tile_stamp_[tile] = now_fresh;  // provably unchanged: restamp, no fill
     ++stats_.freshened;
   }

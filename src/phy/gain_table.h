@@ -13,7 +13,22 @@
 //     gets cache benefits for its per-slot working set (the transmitter
 //     rows) while memory stays bounded;
 //   * a tile is *fresh* while its stamp matches the metric version; moves
-//     invalidate by stamp, never by writeback.
+//     invalidate by stamp, never by writeback;
+//   * freshness is restored *per column*: apply_delta records, per node,
+//     the metric version at which it last moved (col_version_). A stale
+//     resident tile of a row that has not moved since the tile was filled
+//     is *patched* — only the columns that moved since then are recomputed
+//     — instead of refilled in full. The record is trusted only from its
+//     *tracking horizon* on: the earliest version from which every move
+//     reached apply_delta. When the metric version advances without a delta
+//     (coarse change, delta invalidation off, a skipped round) plan_rows
+//     moves the horizon to the current version, and every tile filled
+//     before it refills in full, exactly as under epoch invalidation.
+//
+// Why a patch is exact: by the dirty-set contract (metric/dirty_log.h)
+// every changed d(u,v) dirties u or v. Row u clean since the fill version f
+// and column v not moved since f means d(u,v), hence the cached gain, is
+// unchanged; every recomputed cell uses the same expression as a full fill.
 //
 // Bit-exactness contract (what makes the cached pipeline identical to the
 // brute-force reference): every entry is produced by the exact expression
@@ -28,6 +43,8 @@
 // Determinism: eviction order depends only on the sequence of ensure_rows
 // calls (source order within a call is the caller's transmitter order),
 // never on thread scheduling; parallel tile fills write disjoint slots.
+// The patch-or-refill decision is made serially at plan time; fills only
+// read col_version_, so any thread count computes the same cells.
 // Reads (row_block / cell) are const and touch no LRU state, so concurrent
 // readers after an ensure_rows are race-free.
 #pragma once
@@ -79,8 +96,9 @@ class GainTable {
   }
 
   /// Make every tile of every source row resident and fresh, filling stale
-  /// tiles (in parallel when `pool` is given: tiles are distinct, slots
-  /// disjoint). Pins the sources' tiles for the duration of the call so a
+  /// tiles — patching only their moved columns when the row is clean (see
+  /// file comment) — in parallel when `pool` is given (tiles are distinct,
+  /// slots disjoint). Pins the sources' tiles for the duration of the call so a
   /// call never evicts its own rows. Returns false — leaving freshness
   /// state consistent — when the sources' tiles exceed the budget together;
   /// callers then fall back to the uncached kernel (same bits, recomputed).
@@ -116,15 +134,16 @@ class GainTable {
   /// stored zero as a surprise: callers (decode paths) only query u != v.
   [[nodiscard]] const double* cell(NodeId u, std::uint32_t v) const;
 
-  /// Delta invalidation: advance the freshness stamp of every resident tile
-  /// that was fresh at `prev_version` and whose entries cannot involve a
-  /// dirty node — source row not dirty, column block containing no dirty
-  /// id — to `new_version`, so only tiles actually touching dirty nodes
-  /// refill. `dirty` must be sorted ascending and list every node whose
-  /// distances may have changed in (prev_version, new_version] (the
-  /// TopologyDelta::moved contract). Tiles left behind go stale naturally
-  /// and lazily refill in ensure_rows, exactly as under epoch
-  /// invalidation — skipping this call entirely is always sound.
+  /// Delta invalidation: record `new_version` as the last move of every
+  /// dirty node (O(|dirty|)), then advance the freshness stamp of every
+  /// resident tile that was fresh at `prev_version` and whose entries
+  /// cannot involve a dirty node — source row not dirty, column block
+  /// containing no dirty id — to `new_version`. Tiles left behind go stale
+  /// and are patched (or refilled) lazily in ensure_rows. `dirty` must list
+  /// every node whose distances may have changed in (prev_version,
+  /// new_version] (the TopologyDelta::moved contract). Skipping this call
+  /// is always sound: plan_rows sees the version advance without a delta
+  /// and falls back to full refills.
   void apply_delta(std::span<const NodeId> dirty, std::uint64_t prev_version,
                    std::uint64_t new_version);
 
@@ -141,7 +160,8 @@ class GainTable {
     std::uint64_t hits = 0;        // tile already resident and fresh
     std::uint64_t misses = 0;      // tile not resident (slot acquired)
     std::uint64_t evictions = 0;   // resident tile displaced for a new one
-    std::uint64_t fills = 0;       // tiles (re)computed
+    std::uint64_t fills = 0;       // tiles (re)computed or patched
+    std::uint64_t cells = 0;       // gain entries computed by those fills
     std::uint64_t fallbacks = 0;   // ensure_rows over budget -> uncached path
     std::uint64_t freshened = 0;   // tiles restamped by apply_delta (no fill)
     std::uint64_t disabled_binds = 0;  // bind() left caching off: the budget
@@ -152,7 +172,17 @@ class GainTable {
  private:
   static constexpr std::uint32_t kInvalid = 0xffffffffu;
 
-  void fill_tile(std::size_t tile);
+  // A tile queued by plan_rows. `stamp` is the tile's stale stamp when it
+  // is patched (only columns moved since stamp - 1 are recomputed) and 0
+  // when it is refilled in full.
+  struct PendingFill {
+    std::size_t tile;
+    std::uint64_t stamp;
+  };
+
+  void fill_tile(const PendingFill& fill);
+  [[nodiscard]] std::size_t moved_cols(std::size_t b,
+                                       std::uint64_t since) const;
   std::uint32_t acquire_slot();
   void lru_touch(std::uint32_t slot);
   void lru_detach(std::uint32_t slot);
@@ -184,7 +214,14 @@ class GainTable {
   std::size_t used_slots_ = 0;
   std::uint64_t pass_ = 0;
 
-  std::vector<std::size_t> fill_tiles_;  // scratch, reused across calls
+  // Per node: metric version of its last move seen by apply_delta. The
+  // record is complete for moves in (horizon_, tracked_version_]; a tile
+  // filled at a version >= horizon_ may be patched.
+  std::vector<std::uint64_t> col_version_;
+  std::uint64_t tracked_version_ = 0;
+  std::uint64_t horizon_ = 0;
+
+  std::vector<PendingFill> fill_tiles_;  // scratch, reused across calls
   std::vector<std::uint8_t> block_dirty_;  // scratch for apply_delta
   bool warned_disabled_ = false;  // one warning per table instance
   Stats stats_;

@@ -289,13 +289,20 @@ CompositeDynamics::CompositeDynamics(std::vector<Dynamics*> parts)
 
 namespace {
 
-/// Order-preserving dedup: keep the first occurrence of each id. O(n·k)
-/// with tiny k (a round's change lists are short).
+/// Order-preserving dedup: keep the first occurrence of each id. O(k log k)
+/// in the list length k, which is not small: a mobility part reports every
+/// mover, e.g. 257 ids a round on an 8k-node mobility + churn workload.
 void dedup_stable(std::vector<NodeId>& ids) {
-  std::vector<NodeId> seen;
+  std::vector<NodeId> sorted(ids);
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  if (sorted.size() == ids.size()) return;  // no repeats: order kept as is
+  std::vector<std::uint8_t> kept(sorted.size(), 0);
   const auto dup = std::remove_if(ids.begin(), ids.end(), [&](NodeId v) {
-    if (std::find(seen.begin(), seen.end(), v) != seen.end()) return true;
-    seen.push_back(v);
+    const auto at = static_cast<std::size_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), v) - sorted.begin());
+    if (kept[at]) return true;
+    kept[at] = 1;
     return false;
   });
   ids.erase(dup, ids.end());
@@ -319,19 +326,17 @@ ChangeSet CompositeDynamics::step(Network& network, Rng& rng, Round round) {
   dedup_stable(all.moved);
   // A node that moved and then departed within the round is a departure by
   // the time the merged set is observed: drop it from `moved`.
-  const auto moved_and_gone =
-      std::remove_if(all.moved.begin(), all.moved.end(), [&](NodeId v) {
-        return std::find(all.departures.begin(), all.departures.end(), v) !=
-               all.departures.end();
-      });
-  all.moved.erase(moved_and_gone, all.moved.end());
+  std::vector<NodeId> gone(all.departures);
+  std::sort(gone.begin(), gone.end());
+  const auto departed = [&](NodeId v) {
+    return std::binary_search(gone.begin(), gone.end(), v);
+  };
+  all.moved.erase(std::remove_if(all.moved.begin(), all.moved.end(), departed),
+                  all.moved.end());
   // Merge invariant: whatever order the children ran in (mover before or
   // after the churn part), a node that departed this round must end up
   // departed-only.
-  UDWN_ENSURE(std::none_of(all.moved.begin(), all.moved.end(), [&](NodeId v) {
-    return std::find(all.departures.begin(), all.departures.end(), v) !=
-           all.departures.end();
-  }));
+  UDWN_ENSURE(std::none_of(all.moved.begin(), all.moved.end(), departed));
   return all;
 }
 

@@ -182,6 +182,7 @@ void Engine::publish_round_obs(std::uint64_t transitions,
     m.add(ids.gain_misses, cur.misses - last_gain_stats_.misses);
     m.add(ids.gain_evictions, cur.evictions - last_gain_stats_.evictions);
     m.add(ids.gain_fills, cur.fills - last_gain_stats_.fills);
+    m.add(ids.gain_cells, cur.cells - last_gain_stats_.cells);
     m.add(ids.gain_fallbacks, cur.fallbacks - last_gain_stats_.fallbacks);
     m.add(ids.gain_disabled_binds,
           cur.disabled_binds - last_gain_stats_.disabled_binds);

@@ -2,7 +2,8 @@
 // QuasiMetric dirty bookkeeping (localized / coarse / batched spans),
 // Network::collect_delta folding metric dirt and alive churn into a
 // TopologyDelta, GainTable::apply_delta freshening exactly the tiles that
-// avoid every dirty row and column, and — the property the whole refactor
+// avoid every dirty row and column, stale tiles of clean rows patched
+// column by column, and — the property the whole refactor
 // hangs on — cached slot resolution staying bit-identical to the brute-force
 // reference while deltas are applied every round. The engine-level test
 // closes the loop: delta, epoch, and uncached pipelines hash to the same
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -248,6 +250,173 @@ TEST(GainTableDelta, NoOpWhenVersionsEqualOrEveryBlockDirty) {
   gains.apply_delta(dirty, v0, metric.version());
   EXPECT_EQ(gains.stats().freshened, 0u);
   EXPECT_EQ(gains.row_block(NodeId(3), 0), nullptr);
+}
+
+// Every tile of row u holds exactly the uncached gains (diagonal +0.0).
+void expect_row_exact(const GainTable& gains, const EuclideanMetric& metric,
+                      const PathLoss& pl, NodeId u) {
+  for (std::size_t b = 0; b < gains.blocks(); ++b) {
+    const double* row = gains.row_block(u, b);
+    ASSERT_NE(row, nullptr) << "tile (" << u.value << "," << b << ")";
+    for (std::size_t j = 0; j < gains.block_cols(b); ++j) {
+      const NodeId v(static_cast<std::uint32_t>(gains.block_begin(b) + j));
+      const double expected = v == u ? 0.0 : pl.signal(metric.distance(u, v));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(row[j]),
+                std::bit_cast<std::uint64_t>(expected))
+          << "cell (" << u.value << "," << v.value << ")";
+    }
+  }
+}
+
+TEST(GainTablePatch, CleanRowRecomputesExactlyTheMovedColumns) {
+  EuclideanMetric metric(test::random_points(32, 5.0, 73));
+  const PathLoss pl(2.0, 3.0, 1e-3);
+  GainTable gains(GainTable::Config{.tile_cols = 8, .budget_bytes = 1 << 20});
+  gains.bind(metric, pl);
+  std::vector<NodeId> all;
+  for (std::uint32_t u = 0; u < 32; ++u) all.push_back(NodeId(u));
+  ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+  EXPECT_EQ(gains.stats().cells, 32u * 32u);  // first use: full fills
+
+  // Columns 5 and 6 (block 0) and 17 (block 2) move in one version tick.
+  const std::uint64_t v0 = metric.version();
+  metric.begin_update();
+  for (const std::uint32_t m : {5u, 6u, 17u}) {
+    const Vec2 p = metric.position(NodeId(m));
+    metric.set_position(NodeId(m), {p.x + 0.3, p.y - 0.2});
+  }
+  metric.end_update();
+  gains.apply_delta(ids({5, 6, 17}), v0, metric.version());
+
+  // Clean row 3: block 0 patches 2 cells, block 2 patches 1; blocks 1 and 3
+  // were restamped by apply_delta and are hits.
+  const GainTable::Stats before = gains.stats();
+  ASSERT_TRUE(gains.ensure_rows(ids({3}), nullptr));
+  EXPECT_EQ(gains.stats().fills - before.fills, 2u);
+  EXPECT_EQ(gains.stats().cells - before.cells, 2u + 1u);
+  EXPECT_EQ(gains.stats().hits - before.hits, 2u);
+  expect_row_exact(gains, metric, pl, NodeId(3));
+}
+
+TEST(GainTablePatch, DirtyRowRefillsInFull) {
+  EuclideanMetric metric(test::random_points(32, 5.0, 74));
+  const PathLoss pl(2.0, 3.0, 1e-3);
+  GainTable gains(GainTable::Config{.tile_cols = 8, .budget_bytes = 1 << 20});
+  gains.bind(metric, pl);
+  std::vector<NodeId> all;
+  for (std::uint32_t u = 0; u < 32; ++u) all.push_back(NodeId(u));
+  ASSERT_TRUE(gains.ensure_rows(all, nullptr));
+
+  const std::uint64_t v0 = metric.version();
+  const Vec2 p = metric.position(NodeId(5));
+  metric.set_position(NodeId(5), {p.x + 0.3, p.y});
+  gains.apply_delta(ids({5}), v0, metric.version());
+
+  // Every distance from node 5 may have changed: its four tiles refill all
+  // 32 columns, not just column 5.
+  const GainTable::Stats before = gains.stats();
+  ASSERT_TRUE(gains.ensure_rows(ids({5}), nullptr));
+  EXPECT_EQ(gains.stats().fills - before.fills, 4u);
+  EXPECT_EQ(gains.stats().cells - before.cells, 32u);
+  expect_row_exact(gains, metric, pl, NodeId(5));
+}
+
+TEST(GainTablePatch, RandomRoundsMatchAFreshlyBoundTableBitForBit) {
+  // Movers (batched in one tick or spread over several), skipped deltas
+  // (the table never hears of a round's moves), a coarse add_point of 8
+  // nodes (a rebind, as TopologyCache does on a size change) and a budget
+  // of 24 tiles against 5-6 blocks a row, so the LRU evicts and an
+  // occasional five-row call falls back. Rows are mostly drawn from 8 hot
+  // transmitters, so resident stale tiles are requested again. After every
+  // round, every fresh tile must equal a freshly bound table to the last
+  // bit.
+  const PathLoss pl(2.0, 3.0, 1e-3);
+  EuclideanMetric metric(test::random_points(40, 5.0, 75));
+  const GainTable::Config config{.tile_cols = 8,
+                                 .budget_bytes = 24 * 8 * sizeof(double)};
+  GainTable gains(config);
+  gains.bind(metric, pl);
+  Rng rng(76);
+  std::uint64_t collected = metric.version();  // Network::collect_delta's
+  std::vector<NodeId> window;                  // window since `collected`
+  int coarse = 0, gaps = 0, patching_calls = 0;
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE(round);
+    const std::size_t n = metric.size();
+    if (n < 48 && rng.chance(0.02)) {
+      // Whole blocks only, so a call's full fills are fills * tile_cols.
+      for (int k = 0; k < 8; ++k)
+        metric.add_point({rng.uniform(0, 5), rng.uniform(0, 5)});
+      gains.bind(metric, pl);
+      ++coarse;
+      collected = metric.version();
+      window.clear();
+    } else {
+      const bool batched = rng.chance(0.5);
+      if (batched) metric.begin_update();
+      const std::uint64_t movers = 1 + rng.below(3);
+      for (std::uint64_t k = 0; k < movers; ++k) {
+        const NodeId v(static_cast<std::uint32_t>(rng.below(n)));
+        const Vec2 p = metric.position(v);
+        metric.set_position(v, {p.x + rng.uniform(-0.4, 0.4),
+                                p.y + rng.uniform(-0.4, 0.4)});
+        window.push_back(v);
+      }
+      if (batched) metric.end_update();
+      std::sort(window.begin(), window.end());
+      window.erase(std::unique(window.begin(), window.end()), window.end());
+      // A gap: the delta is collected (the window advances) but never
+      // reaches the table.
+      if (rng.chance(0.1))
+        ++gaps;
+      else
+        gains.apply_delta(window, collected, metric.version());
+      collected = metric.version();
+      window.clear();
+    }
+    if (rng.chance(0.05)) {
+      // Five rows need 25+ tiles: the call fails and must roll back its
+      // stamps without leaving a stale tile marked fresh.
+      std::vector<NodeId> rows;
+      const auto first = static_cast<std::uint32_t>(rng.below(4));
+      for (std::uint32_t k = 0; k < 5; ++k) rows.push_back(NodeId(first + k));
+      EXPECT_FALSE(gains.ensure_rows(rows, nullptr));
+    } else if (rng.chance(0.8)) {
+      std::vector<NodeId> rows;
+      for (std::uint64_t k = 0, count = 1 + rng.below(3); k < count; ++k)
+        rows.push_back(NodeId(
+            static_cast<std::uint32_t>(rng.below(rng.chance(0.8) ? 8 : n))));
+      const GainTable::Stats before = gains.stats();
+      ASSERT_TRUE(gains.ensure_rows(rows, nullptr));
+      const std::uint64_t cells = gains.stats().cells - before.cells;
+      const std::uint64_t fills = gains.stats().fills - before.fills;
+      if (cells < fills * config.tile_cols) ++patching_calls;
+    }
+
+    GainTable fresh(GainTable::Config{.tile_cols = 8,
+                                      .budget_bytes = 1 << 20});
+    fresh.bind(metric, pl);
+    std::vector<NodeId> all;
+    for (std::uint32_t u = 0; u < metric.size(); ++u) all.push_back(NodeId(u));
+    ASSERT_TRUE(fresh.ensure_rows(all, nullptr));
+    for (std::uint32_t u = 0; u < metric.size(); ++u) {
+      for (std::size_t b = 0; b < gains.blocks(); ++b) {
+        const double* got = gains.row_block(NodeId(u), b);
+        if (got == nullptr) continue;  // stale or evicted: never read
+        const double* want = fresh.row_block(NodeId(u), b);
+        for (std::size_t j = 0; j < gains.block_cols(b); ++j)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[j]),
+                    std::bit_cast<std::uint64_t>(want[j]))
+              << "cell (" << u << "," << gains.block_begin(b) + j << ")";
+      }
+    }
+  }
+  // Every path ran.
+  EXPECT_EQ(coarse, 1);
+  EXPECT_GT(gaps, 0);
+  EXPECT_GT(patching_calls, 0);
+  EXPECT_GT(gains.stats().evictions, 0u);
+  EXPECT_GT(gains.stats().fallbacks, 0u);
 }
 
 // Every field compared with exact equality: interference entries are
