@@ -282,9 +282,9 @@ void Channel::sharded_field(GainTable& gains,
     rs.reserve(need);  // udwn-lint: allow(hot-path-alloc): warm-up sizing
   for (const NodeId u : transmitters)
     for (std::size_t b = 0; b < blocks; ++b) {
-      // Valid already: plan_rows made every tile resident (pointers are
-      // stable until the next plan/bind); contents may still be stale
-      // until the owning shard's fill_planned below.
+      // Valid already: plan_rows made every tile resident (a pointer lasts
+      // until its tile is evicted or the table is rebound); contents may
+      // still be stale until the owning shard's fill_planned below.
       const double* row = gains.row_block(u, b);
       UDWN_ASSERT(row != nullptr);
       rs.push_back(row);  // udwn-lint: allow(hot-path-alloc): reserve-backed

@@ -19,6 +19,12 @@ namespace {
   return shift;
 }
 
+// Clear a vector and return its memory (clear() alone keeps the capacity).
+template <class T>
+void release(std::vector<T>& v) {
+  std::vector<T>().swap(v);
+}
+
 }  // namespace
 
 GainTable::GainTable(Config config) : config_(config) {
@@ -56,28 +62,36 @@ void GainTable::bind(const QuasiMetric& metric, const PathLoss& pathloss) {
     }
   }
 
-  tile_slot_.clear();
-  tile_stamp_.clear();
-  storage_.clear();
-  storage_.shrink_to_fit();
-  slot_tile_.clear();
-  lru_prev_.clear();
-  lru_next_.clear();
-  pin_pass_.clear();
+  // Release everything; the first plan_rows sizes it again (allocate).
+  storage_.reset();
+  release(tile_slot_);
+  release(tile_stamp_);
+  release(slot_tile_);
+  release(lru_prev_);
+  release(lru_next_);
+  release(pin_pass_);
+  release(col_version_);
+  release(block_dirty_);
   lru_head_ = kInvalid;
   lru_tail_ = kInvalid;
   used_slots_ = 0;
   pass_ = 0;
-  col_version_.clear();
   tracked_version_ = metric.version();
   horizon_ = tracked_version_;
-  if (!enabled_) return;
+}
 
+void GainTable::allocate() {
+  // Tile storage is allocated but not written: a slot's pages become
+  // resident only when its first tile is filled, so memory follows the
+  // tiles in use rather than the budget. Its address never changes until
+  // the next bind, which is what keeps row pointers stable.
+  storage_ = std::make_unique_for_overwrite<double[]>(max_tiles_ * stride_);
   tile_slot_.assign(n_ * blocks_, kInvalid);
   tile_stamp_.assign(n_ * blocks_, 0);
-  // Sized here, at bind time; steady-state apply_delta only std::fills it.
-  block_dirty_.assign(blocks_, 0);  // udwn-lint: allow(hot-path-alloc): bind
-  col_version_.assign(n_, 0);  // udwn-lint: allow(hot-path-alloc): bind
+  // Moves apply_delta saw before now predate every tile, so no patch
+  // decision can read them: starting the record at 0 is exact.
+  col_version_.assign(n_, 0);
+  block_dirty_.assign(blocks_, 0);
   slot_tile_.reserve(max_tiles_);
   lru_prev_.reserve(max_tiles_);
   lru_next_.reserve(max_tiles_);
@@ -107,14 +121,6 @@ void GainTable::lru_touch(std::uint32_t slot) {
 std::uint32_t GainTable::acquire_slot() {
   if (used_slots_ < max_tiles_) {
     const auto slot = static_cast<std::uint32_t>(used_slots_++);
-    if (storage_.size() < used_slots_ * stride_) {
-      // Grow geometrically toward the budget: a one-time warm-up cost, so
-      // steady-state slots never allocate once the working set is sized.
-      const std::size_t want = used_slots_ * stride_;
-      const std::size_t doubled =
-          std::min(max_tiles_ * stride_, storage_.size() * 2 + stride_);
-      storage_.resize(std::max(want, doubled));
-    }
     slot_tile_.push_back(0);
     lru_prev_.push_back(kInvalid);
     lru_next_.push_back(kInvalid);
@@ -135,7 +141,7 @@ void GainTable::fill_tile(const PendingFill& fill) {
   const std::size_t b = fill.tile - u * blocks_;
   const std::size_t begin = block_begin(b);
   const std::size_t count = block_cols(b);
-  double* dst = storage_.data() +
+  double* dst = storage_.get() +
                 static_cast<std::size_t>(tile_slot_[fill.tile]) * stride_;
   const NodeId id(static_cast<std::uint32_t>(u));
   const auto gain = [&](std::size_t j) {
@@ -171,6 +177,8 @@ bool GainTable::plan_rows(std::span<const NodeId> sources) {
   if (!enabled_) return false;
   if (sources.empty()) return true;
   UDWN_ASSERT(metric_ != nullptr && pathloss_ != nullptr);
+  if (storage_ == nullptr)
+    allocate();  // udwn-lint: allow(hot-path-alloc): first plan after a bind
   const std::uint64_t version = metric_->version();
   if (version != tracked_version_) {
     // The version advanced without a delta: moves went unrecorded, so no
@@ -261,6 +269,9 @@ void GainTable::apply_delta(std::span<const NodeId> dirty,
   // the record is complete only from prev_version on.
   if (prev_version > tracked_version_) horizon_ = prev_version;
   tracked_version_ = new_version;
+  // Nothing planned since the bind: no tile exists, and these moves predate
+  // every future one, so they need no record (see allocate).
+  if (storage_ == nullptr) return;
   // Per-block dirty flags: a tile's columns touch a dirty node iff its
   // block is flagged. O(blocks + |dirty|) setup, O(1) per resident tile.
   std::fill(block_dirty_.begin(), block_dirty_.end(), 0);
@@ -285,17 +296,17 @@ void GainTable::apply_delta(std::span<const NodeId> dirty,
 }
 
 const double* GainTable::row_block(NodeId u, std::size_t b) const {
-  if (!enabled_) return nullptr;
+  if (storage_ == nullptr) return nullptr;
   UDWN_ASSERT(u.value < n_ && b < blocks_);
   const std::size_t tile = static_cast<std::size_t>(u.value) * blocks_ + b;
   const std::uint32_t slot = tile_slot_[tile];
   if (slot == kInvalid || tile_stamp_[tile] != metric_->version() + 1)
     return nullptr;
-  return storage_.data() + static_cast<std::size_t>(slot) * stride_;
+  return storage_.get() + static_cast<std::size_t>(slot) * stride_;
 }
 
 const double* GainTable::cell(NodeId u, std::uint32_t v) const {
-  if (!enabled_) return nullptr;
+  if (storage_ == nullptr) return nullptr;
   UDWN_ASSERT(u.value < n_ && v < n_);
   const std::size_t b = blocks_ == 1 ? 0 : v >> col_shift_;
   const std::size_t col =
@@ -304,7 +315,7 @@ const double* GainTable::cell(NodeId u, std::uint32_t v) const {
   const std::uint32_t slot = tile_slot_[tile];
   if (slot == kInvalid || tile_stamp_[tile] != metric_->version() + 1)
     return nullptr;
-  return storage_.data() + static_cast<std::size_t>(slot) * stride_ + col;
+  return storage_.get() + static_cast<std::size_t>(slot) * stride_ + col;
 }
 
 }  // namespace udwn

@@ -12,6 +12,11 @@
 //     `budget_bytes`, and evicted in least-recently-ensured order, so any n
 //     gets cache benefits for its per-slot working set (the transmitter
 //     rows) while memory stays bounded;
+//   * nothing is allocated before the first plan_rows after a bind. That
+//     call reserves the whole budget at once without writing it, so a
+//     slot's memory becomes resident only when a tile is first filled into
+//     it, and the storage never moves: a row pointer stays valid until its
+//     tile is evicted or the table is rebound;
 //   * a tile is *fresh* while its stamp matches the metric version; moves
 //     invalidate by stamp, never by writeback;
 //   * freshness is restored *per column*: apply_delta records, per node,
@@ -50,6 +55,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -66,17 +72,21 @@ class GainTable {
     /// Listener columns per tile; must be a power of two. One tile is
     /// tile_cols * 8 bytes (32 KiB at the default).
     std::size_t tile_cols = 4096;
-    /// Upper bound on resident tile storage. 0 disables the table. The
-    /// default keeps the old flat-table footprint (n=4096 → 128 MiB) but
-    /// now bounds *any* n instead of gating on it.
+    /// Upper bound on resident tile storage: caps how many tiles are
+    /// resident at once (min(budget, n² entries) is reserved as address
+    /// space on the first plan_rows; a slot's memory is resident only once
+    /// a tile is filled into it). 0 disables the table. The default keeps
+    /// the old flat-table footprint (n=4096 → 128 MiB) but now bounds *any*
+    /// n instead of gating on it.
     std::size_t budget_bytes = std::size_t{128} << 20;
   };
 
   GainTable() : GainTable(Config{}) {}
   explicit GainTable(Config config);
 
-  /// Bind to a topology, dropping all residency. Called on workspace rebind
-  /// (new metric/pathloss object or changed instance size), not per slot.
+  /// Bind to a topology, dropping all residency and releasing all memory
+  /// (the next plan_rows allocates again). Called on workspace rebind (new
+  /// metric/pathloss object or changed instance size), not per slot.
   void bind(const QuasiMetric& metric, const PathLoss& pathloss);
 
   /// True when the budget admits at least one full row of tiles for the
@@ -102,6 +112,7 @@ class GainTable {
   /// call never evicts its own rows. Returns false — leaving freshness
   /// state consistent — when the sources' tiles exceed the budget together;
   /// callers then fall back to the uncached kernel (same bits, recomputed).
+  /// Row pointers of tiles that stay resident are unchanged by the call.
   bool ensure_rows(std::span<const NodeId> sources, TaskPool* pool);
 
   /// Serial planning half of ensure_rows: acquire/pin slots for every tile
@@ -109,11 +120,12 @@ class GainTable {
   /// filling — without filling. Returns false (freshness rolled back,
   /// fallback counted) when the sources' tiles exceed the budget, exactly
   /// like ensure_rows. After a true return, row_block pointers are already
-  /// stable (storage never reallocates until the next plan/bind), but tiles
-  /// queued for filling hold stale data until fill_planned covers their
-  /// block. This is the sharded-field entry point: the slot pipeline plans
-  /// once on the caller thread, then workers fill-and-accumulate their own
-  /// listener blocks (see docs/ENGINE.md).
+  /// valid (the storage never moves; a pointer lasts until its tile is
+  /// evicted or the table is rebound), but tiles queued for filling hold
+  /// stale data until fill_planned covers their block. The first call after
+  /// a bind allocates the table. This is the sharded-field entry point: the
+  /// slot pipeline plans once on the caller thread, then workers
+  /// fill-and-accumulate their own listener blocks (see docs/ENGINE.md).
   bool plan_rows(std::span<const NodeId> sources);
 
   /// Fill every tile queued by the last plan_rows whose column block lies
@@ -125,8 +137,10 @@ class GainTable {
 
   /// Base pointer of row u's column block b, or nullptr unless resident and
   /// fresh. Entry j is the gain from u to listener block_begin(b) + j (with
-  /// the diagonal stored as +0.0; see file comment). Valid until the next
-  /// ensure_rows / bind.
+  /// the diagonal stored as +0.0; see file comment). The address stays
+  /// the same until the tile is evicted (only a later ensure_rows /
+  /// plan_rows can evict it) or the table is rebound; the contents are the
+  /// tile's gains while it is fresh.
   [[nodiscard]] const double* row_block(NodeId u, std::size_t b) const;
 
   /// Pointer to the single gain entry (u → v), or nullptr unless the
@@ -180,6 +194,7 @@ class GainTable {
     std::uint64_t stamp;
   };
 
+  void allocate();
   void fill_tile(const PendingFill& fill);
   [[nodiscard]] std::size_t moved_cols(std::size_t b,
                                        std::uint64_t since) const;
@@ -199,12 +214,17 @@ class GainTable {
   std::size_t max_tiles_ = 0;
   bool enabled_ = false;
 
+  // Everything below that holds memory is empty from bind until the first
+  // plan_rows (allocate).
+
   // Per logical tile (row-major: tile = u * blocks_ + b).
   std::vector<std::uint32_t> tile_slot_;
   std::vector<std::uint64_t> tile_stamp_;  // metric version + 1; 0 = never
 
   // Per physical slot.
-  std::vector<double> storage_;  // grows on demand up to max_tiles_*stride_
+  // max_tiles_ * stride_ doubles, allocated once and never written before
+  // a fill, so untouched slots stay non-resident.
+  std::unique_ptr<double[]> storage_;
   std::vector<std::size_t> slot_tile_;
   std::vector<std::uint32_t> lru_prev_;
   std::vector<std::uint32_t> lru_next_;

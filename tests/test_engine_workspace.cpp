@@ -8,6 +8,7 @@
 // function pointer + stack context, never a std::function).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -32,14 +33,22 @@ namespace {
 
 std::atomic<long long> g_live_allocations{0};
 std::atomic<bool> g_counting{false};
+// While counting, allocations of at least this many bytes (0 = off) are
+// also tallied in g_large_allocations.
+std::atomic<std::size_t> g_large_bytes{0};
+std::atomic<long long> g_large_allocations{0};
 
 }  // namespace
 
 // Counting allocator: replacing global new/delete is the only way to see
 // every allocation, including those inside libstdc++ containers.
 void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed))
+  if (g_counting.load(std::memory_order_relaxed)) {
     g_live_allocations.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t large = g_large_bytes.load(std::memory_order_relaxed);
+    if (large != 0 && size >= large)
+      g_large_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -246,6 +255,65 @@ TEST(SteadyStateAllocation, SoaTiledTableWithEvictionSettles) {
     channel.resolve_into(txs, network.alive_mask(), 1.0, epoch, ws);
   g_counting.store(false, std::memory_order_relaxed);
   EXPECT_EQ(g_live_allocations.load(std::memory_order_relaxed), 0);
+}
+
+// Allocations of at least `bytes` made while `fn` runs.
+template <class Fn>
+long long large_allocations_during(std::size_t bytes, Fn&& fn) {
+  g_large_allocations.store(0, std::memory_order_relaxed);
+  g_large_bytes.store(bytes, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  fn();
+  g_counting.store(false, std::memory_order_relaxed);
+  g_large_bytes.store(0, std::memory_order_relaxed);
+  return g_large_allocations.load(std::memory_order_relaxed);
+}
+
+TEST(GainTableAllocation, AllocatedOnFirstPlanNeverByFarFieldEngines) {
+  // n = 4096 with 8-column tiles is 512 blocks per row, so the table's
+  // per-tile metadata alone (n·blocks slot indices, 8 MiB) outweighs any
+  // other buffer an engine sizes. The far-field path never plans gain
+  // rows, so its engine must never allocate the table; the exact engine on
+  // the same instance allocates it on its first slot, not before.
+  constexpr std::size_t kNodes = 4096;
+  constexpr std::size_t kTileCols = 8;
+  constexpr std::size_t kTableBytes =
+      kNodes * (kNodes / kTileCols) * sizeof(std::uint32_t);
+  const double extent = std::sqrt(static_cast<double>(kNodes) / 8.0);
+  Scenario scenario(test::random_points(kNodes, extent, 8108),
+                    test::default_config());
+  const CarrierSensing sensing = scenario.sensing_local();
+
+  const auto count = [&](double far_field_eps) {
+    auto protocols = make_protocols(scenario.network().size(), [](NodeId) {
+      return std::make_unique<FixedProbabilityProtocol>(0.02);
+    });
+    std::unique_ptr<Engine> engine;
+    const long long built = large_allocations_during(kTableBytes, [&] {
+      engine = std::make_unique<Engine>(
+          scenario.channel(), scenario.network(), sensing, protocols,
+          EngineConfig{.seed = 42,
+                       .far_field_eps = far_field_eps,
+                       .far_field_cell_factor = 0.25,
+                       .gain_tile_cols = kTileCols});
+    });
+    const long long first =
+        large_allocations_during(kTableBytes, [&] { engine->step(); });
+    const long long later = large_allocations_during(kTableBytes, [&] {
+      for (int r = 0; r < 3; ++r) engine->step();
+    });
+    return std::array<long long, 3>{built, first, later};
+  };
+
+  const std::array<long long, 3> far = count(0.5);
+  EXPECT_EQ(far[0], 0) << "far-field engine construction";
+  EXPECT_EQ(far[1], 0) << "far-field engine, first slot";
+  EXPECT_EQ(far[2], 0) << "far-field engine, later slots";
+
+  const std::array<long long, 3> exact = count(0.0);
+  EXPECT_EQ(exact[0], 0) << "exact engine construction";
+  EXPECT_GE(exact[1], 1) << "exact engine, first slot";
+  EXPECT_EQ(exact[2], 0) << "exact engine, later slots";
 }
 
 // Engine-level trace equivalence: the cached/grid/threaded pipeline and the

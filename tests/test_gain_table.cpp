@@ -153,6 +153,90 @@ TEST(GainTable, MovesInvalidateByStampAndRefillExactly) {
   EXPECT_EQ(stats.evictions, 0u);
 }
 
+TEST(GainTable, RowPointersStayPutUntilEvictionOrRebind) {
+  // n = 16 with 4-column tiles: 4 blocks per row, budget for 8 rows. Rows
+  // 1-7 then acquire new slots one row at a time (past 1, 3, 7, 15 and 31
+  // resident tiles); row 0's tile addresses must not change until row 8
+  // evicts them, and a rebind drops every pointer.
+  EuclideanMetric metric(test::random_points(16, 4.0, 614));
+  const PathLoss pl(1.0, 3.0, 1e-3);
+  GainTable gains(tiny_tiles(4, 32));
+  gains.bind(metric, pl);
+  ASSERT_TRUE(gains.ensure_rows(ids({0}), nullptr));
+  std::vector<const double*> row0;
+  for (std::size_t b = 0; b < 4; ++b)
+    row0.push_back(gains.row_block(NodeId(0), b));
+
+  const auto expect_row0_intact = [&] {
+    for (std::size_t b = 0; b < 4; ++b) {
+      ASSERT_EQ(gains.row_block(NodeId(0), b), row0[b]) << "block " << b;
+      for (std::size_t j = 0; j < 4; ++j) {
+        const auto v = static_cast<std::uint32_t>(4 * b + j);
+        EXPECT_EQ(row0[b][j], v == 0 ? 0.0
+                                     : pl.signal(metric.distance(NodeId(0),
+                                                                 NodeId(v))));
+      }
+    }
+  };
+  for (std::uint32_t u = 1; u < 8; ++u) {
+    ASSERT_TRUE(gains.ensure_rows(ids({u}), nullptr));
+    EXPECT_EQ(gains.resident_tiles(), 4u * (u + 1));
+    expect_row0_intact();
+  }
+
+  // Plans of resident rows, row 0 among them, move nothing either.
+  ASSERT_TRUE(gains.plan_rows(ids({3, 0, 5})));
+  gains.fill_planned(0, gains.blocks());
+  expect_row0_intact();
+
+  // Row 1 is least recently ensured: row 8 evicts it and keeps row 0.
+  ASSERT_NE(gains.row_block(NodeId(1), 0), nullptr);
+  ASSERT_TRUE(gains.ensure_rows(ids({8}), nullptr));
+  EXPECT_EQ(gains.row_block(NodeId(1), 0), nullptr);
+  expect_row0_intact();
+
+  // A stale tile is refilled in place.
+  metric.set_position(NodeId(9), {1.0, 3.5});
+  ASSERT_TRUE(gains.ensure_rows(ids({0}), nullptr));
+  expect_row0_intact();
+
+  gains.bind(metric, pl);
+  EXPECT_EQ(gains.resident_tiles(), 0u);
+  for (std::size_t b = 0; b < 4; ++b)
+    EXPECT_EQ(gains.row_block(NodeId(0), b), nullptr);
+  EXPECT_EQ(gains.cell(NodeId(0), 1), nullptr);
+}
+
+TEST(GainTable, DeltasBeforeTheFirstPlanKeepPatchesExact) {
+  // The table allocates on its first plan_rows, so deltas applied before
+  // then have no record to write. Later deltas must still patch exactly.
+  EuclideanMetric metric(test::random_points(16, 4.0, 615));
+  const PathLoss pl(1.0, 3.0, 1e-3);
+  GainTable gains(tiny_tiles(4, 64));
+  gains.bind(metric, pl);
+  const auto move = [&](std::uint32_t v, Vec2 p) {
+    const std::uint64_t prev = metric.version();
+    metric.set_position(NodeId(v), p);
+    gains.apply_delta(ids({v}), prev, metric.version());
+  };
+  move(3, {0.5, 0.5});
+  EXPECT_EQ(gains.row_block(NodeId(0), 0), nullptr);
+  ASSERT_TRUE(gains.ensure_rows(ids({0, 7}), nullptr));
+  move(5, {3.5, 0.5});
+  move(12, {2.0, 2.0});
+  ASSERT_TRUE(gains.ensure_rows(ids({0, 7}), nullptr));
+  for (const std::uint32_t u : {0u, 7u})
+    for (std::uint32_t v = 0; v < 16; ++v) {
+      ASSERT_NE(gains.cell(NodeId(u), v), nullptr);
+      EXPECT_EQ(*gains.cell(NodeId(u), v),
+                u == v ? 0.0
+                       : pl.signal(metric.distance(NodeId(u), NodeId(v))));
+    }
+  // Each move leaves one stale block per row, patched rather than refilled.
+  EXPECT_EQ(gains.stats().fills, 8u + 4u);
+  EXPECT_EQ(gains.stats().cells, 8u * 4u + 4u);
+}
+
 TEST(GainTable, ParallelFillMatchesSerialFill) {
   EuclideanMetric metric(test::random_points(67, 7.0, 606));
   const PathLoss pl(1.5, 2.8, 1e-3);
