@@ -1,5 +1,5 @@
 // Million-node engine rounds (google-benchmark): the scale tier above
-// bench_micro. Three claims are measured here, recorded in
+// bench_micro. Two claims are measured here, recorded in
 // bench/results/BENCH_micro_bignode.json:
 //
 //  1. BM_EngineRound/{65536,1048576} — full engine rounds at 64k and 1M
@@ -7,10 +7,7 @@
 //     exact field is Θ(n·|S|) signal evaluations per slot; the far path
 //     replaces it with a near sweep plus one aggregated term per listener
 //     cell, which is what makes million-node rounds affordable at all.
-//  2. BM_InterferenceKernel/{2048,8192}×{simd,autovec} — the explicit
-//     AVX2/NEON kernel vs the autovectorized SoA reference over the same
-//     gain table (bit-identical results; the delta is pure dispatch win).
-//  3. BM_Field{Exact,Far}/65536 — one exact brute-force field vs one
+//  2. BM_Field{Exact,Far}/65536 — one exact brute-force field vs one
 //     ε-certified approximate field at 64k, same transmitter set: the
 //     kernel-level speedup behind claim 1.
 //
@@ -27,11 +24,10 @@
 
 #include "analysis/runner.h"
 #include "analysis/scenario.h"
+#include "bench/cpu_features.h"
 #include "common/rng.h"
 #include "phy/far_field.h"
-#include "phy/gain_table.h"
 #include "phy/interference.h"
-#include "phy/simd.h"
 #include "sim/engine.h"
 #include "topo/generators.h"
 
@@ -82,42 +78,6 @@ BENCHMARK(BM_EngineRound)
     ->Arg(65536)
     ->Arg(1048576)
     ->Unit(benchmark::kMillisecond);
-
-// Explicit-SIMD vs autovectorized SoA kernel over one warm gain table.
-// Args: {n, 1 = intrinsics at the detected level, 0 = reference kernel}.
-void BM_InterferenceKernel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const bool simd = state.range(1) != 0;
-  Rng rng(12);
-  EuclideanMetric metric(uniform_square(n, std::sqrt(n / 8.0), rng));
-  const PathLoss pl(1.0, 3.0, 1e-3);
-  GainTable gains;
-  gains.bind(metric, pl);
-  const auto txs =
-      sample_transmitters(n, kTargetTx / static_cast<double>(n), rng);
-  if (!gains.ensure_rows(txs, nullptr)) {
-    state.SkipWithError("gain rows exceed budget at this n");
-    return;
-  }
-  const SimdLevel level = simd ? detect_simd_level() : SimdLevel::kScalar;
-  std::vector<double> field;
-  std::vector<const double*> scratch;
-  for (auto _ : state) {
-    if (simd)
-      interference_field_simd(gains, txs, scratch, field, level, nullptr);
-    else
-      interference_field_soa(gains, txs, scratch, field, nullptr);
-    benchmark::DoNotOptimize(field.data());
-  }
-  state.SetLabel(simd ? simd_level_name(level) : "autovec");
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n * txs.size()));
-}
-BENCHMARK(BM_InterferenceKernel)
-    ->Args({2048, 0})
-    ->Args({2048, 1})
-    ->Args({8192, 0})
-    ->Args({8192, 1});
 
 // Exact brute-force field at 64k (the fallback kernel that would run at
 // this scale: one signal evaluation per transmitter/listener pair)...
@@ -176,7 +136,8 @@ BENCHMARK(BM_FieldFar)->Arg(65536)->Unit(benchmark::kMillisecond);
 // no explicit --benchmark_out, the run lands as google-benchmark JSON at
 // <path>. The host's probed ISA features ride along as benchmark context.
 int main(int argc, char** argv) {
-  benchmark::AddCustomContext("cpu_features", udwn::cpu_features_string());
+  benchmark::AddCustomContext("cpu_features",
+                              udwn::bench::cpu_features_string());
   std::vector<char*> args(argv, argv + argc);
   std::string out_flag;
   std::string format_flag = "--benchmark_out_format=json";

@@ -50,7 +50,7 @@ void BM_ChannelResolve(benchmark::State& state) {
   Rng rng(2);
   Scenario s(uniform_square(n, std::sqrt(n / 8.0), rng), ScenarioConfig{});
   const auto txs = sample_transmitters(n, 0.05, rng);
-  SlotWorkspace ws({.cache_topology = true, .use_spatial_grid = true});
+  SlotWorkspace ws({.cache_topology = true});
   for (auto _ : state) {
     const SlotOutcome& outcome = s.channel().resolve_into(
         txs, s.network().alive_mask(), 1.0, s.network().topology_epoch(), ws);
@@ -81,7 +81,6 @@ void BM_ChannelResolveThreads(benchmark::State& state) {
   Scenario s(uniform_square(n, std::sqrt(n / 8.0), rng), ScenarioConfig{});
   const auto txs = sample_transmitters(n, 0.05, rng);
   SlotWorkspace ws({.cache_topology = true,
-                    .use_spatial_grid = true,
                     .threads = static_cast<int>(state.range(1))});
   for (auto _ : state) {
     const SlotOutcome& outcome = s.channel().resolve_into(

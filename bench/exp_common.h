@@ -1,8 +1,9 @@
 // Shared scaffolding for the experiment binaries (bench/exp*). Each binary
 // reproduces one claim of the paper (see DESIGN.md experiment index) and
 // prints (a) the measured table and (b) a SHAPE CHECK block summarizing
-// whether the claim's trend holds in this run. EXPERIMENTS.md records the
-// reference output.
+// whether the claim's trend holds in this run. A failed check, like a
+// failed trial, makes the binary exit nonzero (see finish()).
+// EXPERIMENTS.md records the reference output.
 //
 // Machine-readable output: with UDWN_JSON=<path> in the environment, every
 // banner/show/shape_check call is mirrored into a JSON document written to
@@ -25,12 +26,12 @@
 #include "analysis/recorders.h"
 #include "analysis/runner.h"
 #include "analysis/scenario.h"
+#include "bench/cpu_features.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "obs/obs.h"
-#include "phy/simd.h"
 #include "sim/batch.h"
 #include "topo/generators.h"
 
@@ -227,8 +228,22 @@ inline void banner(const std::string& id, const std::string& claim) {
   detail::JsonSink::instance().set_experiment(id, claim);
 }
 
+namespace detail {
+
+/// Shape checks that failed so far in this process; finish() turns a
+/// nonzero count into a nonzero exit code.
+inline int& failed_shape_checks() {
+  static int count = 0;
+  return count;
+}
+
+}  // namespace detail
+
+/// Print one verdict of the binary's SHAPE CHECK block and mirror it into
+/// the JSON document. A failed check makes finish() return nonzero.
 inline void shape_check(bool ok, const std::string& what) {
   std::cout << (ok ? "  [OK]   " : "  [FAIL] ") << what << "\n";
+  if (!ok) ++detail::failed_shape_checks();
   detail::JsonSink::instance().add_check(ok, what);
 }
 
@@ -327,7 +342,7 @@ class TrialFailureLog {
 /// over-budget) trial becomes a TrialError in the process-wide failure log
 /// — its slot in the returned vector stays default-constructed — while
 /// sibling trials complete. End main() with `return finish();` so recorded
-/// failures surface as a table and a nonzero exit code.
+/// failures (and failed shape checks) surface as a nonzero exit code.
 template <typename Fn>
 auto run_trials(const std::vector<std::uint64_t>& trial_seeds, Fn&& fn)
     -> std::vector<decltype(fn(std::uint64_t{0}))> {
@@ -343,13 +358,20 @@ auto run_trials(const std::vector<std::uint64_t>& trial_seeds, Fn&& fn)
 }
 
 /// Exit-code epilogue for every experiment binary: prints the trial-failure
-/// table when any run_trials batch recorded failures and returns the
-/// process exit code (0 = every trial completed).
+/// table when any run_trials batch recorded failures, and returns the
+/// process exit code — 0 only when every trial completed and every
+/// shape_check held.
 inline int finish() {
-  auto& log = detail::TrialFailureLog::instance();
-  if (log.empty()) return 0;
-  log.report();
-  return 1;
+  int status = 0;
+  if (auto& log = detail::TrialFailureLog::instance(); !log.empty()) {
+    log.report();
+    status = 1;
+  }
+  if (const int failed = detail::failed_shape_checks(); failed > 0) {
+    std::cout << "\n" << failed << " shape check(s) failed\n";
+    status = 1;
+  }
+  return status;
 }
 
 }  // namespace udwn::bench

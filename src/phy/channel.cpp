@@ -36,12 +36,8 @@ Channel::Channel(const QuasiMetric& metric, const PathLoss& pathloss,
 SlotWorkspace::SlotWorkspace(SlotWorkspaceConfig config)
     : config_(config),
       cache_(TopologyCache::Config{
-          .use_spatial_grid = config.use_spatial_grid,
           .gain_budget_bytes = config.gain_budget_bytes,
-          .gain_tile_cols = config.gain_tile_cols}),
-      // Dispatch once per workspace, never per slot: the knob, the
-      // UDWN_SIMD override, and the CPU probe are all resolved here.
-      simd_level_(resolve_simd_level(config.simd)) {
+          .gain_tile_cols = config.gain_tile_cols}) {
   UDWN_EXPECT(config.threads >= 1);
   if (config.threads > 1)
     pool_ = std::make_unique<TaskPool>(config.threads);
@@ -269,7 +265,7 @@ void Channel::sharded_field(GainTable& gains,
   // kernel reads it. Chunks partition blocks: tile fills and column writes
   // are disjoint across shards, and each listener's sum still accumulates
   // in exact transmitter order, so the field is bit-identical to the
-  // unsharded kernels for any thread count.
+  // unsharded kernel for any thread count.
   const std::size_t n = gains.size();
   const std::size_t blocks = gains.blocks();
   std::vector<double>& field = ws.outcome_.interference;
@@ -290,8 +286,6 @@ void Channel::sharded_field(GainTable& gains,
       rs.push_back(row);  // udwn-lint: allow(hot-path-alloc): reserve-backed
     }
   const double* const* rows = rs.data();
-  const SimdLevel level = ws.config_.soa_kernel ? ws.simd_level_
-                                                : SimdLevel::kScalar;
 
   Obs* obs = ws.config_.obs;
   const bool spans = obs != nullptr && obs->events_enabled() &&
@@ -307,9 +301,9 @@ void Channel::sharded_field(GainTable& gains,
         spans ? obs_now_ns() : 0;  // udwn-lint: allow(det-wall-clock): span
     gains.fill_planned(block_lo, block_hi);
     for (std::size_t b = block_lo; b < block_hi; ++b)
-      simd_accumulate_columns(rows + b, blocks, count,
-                              field.data() + gains.block_begin(b), 0,
-                              gains.block_cols(b), level);
+      accumulate_columns(rows + b, blocks, count,
+                         field.data() + gains.block_begin(b), 0,
+                         gains.block_cols(b));
     if (spans) {
       // Worker-side span event: lands in the executing worker's ring, so
       // cross-ring merge order is scheduling-dependent — which is exactly
@@ -403,8 +397,7 @@ const SlotOutcome& Channel::resolve_into(
     // per shard (sharded_field). Otherwise fill everything via ensure_rows
     // and run one kernel over the whole field. Both bit-identical.
     const bool shard =
-        pool != nullptr && ws.config_.field_sharding &&
-        ws.config_.soa_kernel &&
+        pool != nullptr &&
         gains->blocks() >= static_cast<std::size_t>(pool->threads());
     if (shard) {
       rows = gains->plan_rows(transmitters);
@@ -415,16 +408,8 @@ const SlotOutcome& Channel::resolve_into(
     } else {
       rows = gains->ensure_rows(transmitters, pool);
       if (rows) {
-        if (!ws.config_.soa_kernel) {
-          interference_field_rows(*gains, transmitters, out.interference,
-                                  pool);
-        } else if (ws.simd_level_ != SimdLevel::kScalar) {
-          interference_field_simd(*gains, transmitters, ws.row_scratch_,
-                                  out.interference, ws.simd_level_, pool);
-        } else {
-          interference_field_soa(*gains, transmitters, ws.row_scratch_,
-                                 out.interference, pool);
-        }
+        interference_field_soa(*gains, transmitters, ws.row_scratch_,
+                               out.interference, pool);
         field_done = true;
       }
     }

@@ -31,7 +31,6 @@
 #include "phy/far_field.h"
 #include "phy/pathloss.h"
 #include "phy/reception.h"
-#include "phy/simd.h"
 #include "phy/topology_cache.h"
 
 namespace udwn {
@@ -58,11 +57,10 @@ struct SlotOutcome {
 
 struct SlotWorkspaceConfig {
   /// Serve neighborhoods and gain rows from the epoch-invalidated
-  /// TopologyCache instead of re-deriving them per slot.
+  /// TopologyCache instead of re-deriving them per slot. On a Euclidean
+  /// metric the cache also attaches a SpatialGrid that prunes decode/clear
+  /// candidates (never on asymmetric/graph metrics, where it is unsound).
   bool cache_topology = true;
-  /// Prune decode/clear candidates with a SpatialGrid on Euclidean
-  /// instances (requires cache_topology; ignored for asymmetric metrics).
-  bool use_spatial_grid = true;
   /// Memory budget for the tiled LRU gain table (see gain_table.h);
   /// 0 disables gain caching. Any instance size is cached within budget —
   /// this replaces the old hard gain_cache_max_nodes = 4096 cliff.
@@ -70,23 +68,6 @@ struct SlotWorkspaceConfig {
   /// Listener columns per gain tile (power of two). Small values exist for
   /// tests that exercise multi-block rows at small n.
   std::size_t gain_tile_cols = 4096;
-  /// Use the SoA/SIMD interference kernel over the gain table (vectorizes
-  /// across listeners). false = scalar row-at-a-time kernel. Either setting
-  /// produces bit-identical outcomes (audited).
-  bool soa_kernel = true;
-  /// Explicit SIMD intrinsics (AVX2/NEON, runtime CPU dispatch) for the SoA
-  /// kernel; false — or an unsupported CPU — runs the autovectorized
-  /// reference. Bit-identical either way (the intrinsic kernel performs the
-  /// same per-listener adds in the same order; audited). The UDWN_SIMD
-  /// environment knob overrides: 0 forces the autovectorized kernel,
-  /// 1 forces detection. Resolved once at workspace construction.
-  bool simd = true;
-  /// Shard one slot's interference field across the TaskPool by listener
-  /// block, fusing each shard's gain-tile fills with its accumulation
-  /// (plan_rows once on the caller, fill_planned + kernel per worker).
-  /// Takes effect with threads > 1, the SoA kernel, and at least one block
-  /// per pool thread; bit-identical to the unsharded kernels (audited).
-  bool field_sharding = true;
   /// Certified far-field approximation (see far_field.h): aggregate
   /// transmitters beyond a derived separation radius per spatial cell, with
   /// worst-case relative field error <= far_field_eps. 0 (default) = exact.
@@ -100,7 +81,10 @@ struct SlotWorkspaceConfig {
   /// given ε at the cost of more cells).
   double far_field_cell_factor = 2.0;
   /// Worker threads for the interference kernel (including the caller);
-  /// 1 = serial. Any value produces bit-identical outcomes.
+  /// 1 = serial. Any value produces bit-identical outcomes. With a pool and
+  /// at least one gain-table listener block per thread, the field is
+  /// sharded by block: each shard fills its stale tiles and accumulates its
+  /// columns in one fused pass (see Channel::sharded_field).
   int threads = 1;
   /// Observability handle (see obs/obs.h); null disables all
   /// instrumentation at the cost of one branch per site. The handle must
@@ -128,9 +112,6 @@ class SlotWorkspace {
   /// The kernel pool (null when threads == 1); the engine reads its Stats
   /// to publish per-round scheduling deltas.
   [[nodiscard]] TaskPool* pool() { return pool_.get(); }
-  /// The SIMD level resolved at construction (config knob + UDWN_SIMD
-  /// override + CPU probe); introspection for tests and benchmarks.
-  [[nodiscard]] SimdLevel simd_level() const { return simd_level_; }
   /// Tag worker-side trace events (shard spans) with the engine's current
   /// (round, slot). Pure observability — never read by any decision; the
   /// engine sets it before resolve_into when an Obs handle is attached.
@@ -147,10 +128,9 @@ class SlotWorkspace {
   std::vector<std::uint8_t> is_tx_;
   std::vector<double> best_signal_;
   std::vector<NodeId> scratch_neighbors_;
-  std::vector<const double*> row_scratch_;  // SoA kernel row pointers
+  std::vector<const double*> row_scratch_;  // gain-table row pointers
   TopologyCache cache_;
   std::unique_ptr<TaskPool> pool_;  // created when threads > 1
-  SimdLevel simd_level_ = SimdLevel::kScalar;  // resolved in the ctor
   FarFieldWorkspace far_field_;
   std::uint32_t obs_round_ = 0;  // observability tags for worker spans
   std::uint8_t obs_slot_ = 0;

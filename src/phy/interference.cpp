@@ -37,31 +37,30 @@ std::vector<double> interference_field(const QuasiMetric& metric,
   return field;
 }
 
-void interference_field_rows(const GainTable& gains,
-                             std::span<const NodeId> transmitters,
-                             std::vector<double>& field, TaskPool* pool) {
-  const std::size_t n = gains.size();
-  const std::size_t blocks = gains.blocks();
-  field.assign(n, 0.0);
-  if (transmitters.empty()) return;
-  auto body = [&](std::size_t lo, std::size_t hi) {
-    for (const NodeId u : transmitters) {
-      for (std::size_t b = 0; b < blocks; ++b) {
-        const std::size_t begin = gains.block_begin(b);
-        const std::size_t s = std::max(lo, begin);
-        const std::size_t e = std::min(hi, begin + gains.block_cols(b));
-        if (s >= e) continue;
-        const double* row = gains.row_block(u, b);
-        UDWN_ASSERT(row != nullptr);  // caller ran ensure_rows
-        double* f = field.data() + begin;
-        for (std::size_t j = s - begin; j < e - begin; ++j) f[j] += row[j];
-      }
+void accumulate_columns(const double* const* rows, std::size_t row_stride,
+                        std::size_t count, double* f, std::size_t jlo,
+                        std::size_t jhi) {
+  // Four transmitter rows per sweep: each listener's partial sum stays in a
+  // register across the four adds, executed in transmitter order, so
+  // per-listener rounding matches the row-at-a-time sum exactly.
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    const double* r0 = rows[(i + 0) * row_stride];
+    const double* r1 = rows[(i + 1) * row_stride];
+    const double* r2 = rows[(i + 2) * row_stride];
+    const double* r3 = rows[(i + 3) * row_stride];
+    for (std::size_t j = jlo; j < jhi; ++j) {
+      double acc = f[j];
+      acc += r0[j];
+      acc += r1[j];
+      acc += r2[j];
+      acc += r3[j];
+      f[j] = acc;
     }
-  };
-  if (pool != nullptr) {
-    pool->run_chunks(0, n, body);
-  } else {
-    body(0, n);
+  }
+  for (; i < count; ++i) {
+    const double* row = rows[i * row_stride];
+    for (std::size_t j = jlo; j < jhi; ++j) f[j] += row[j];
   }
 }
 
@@ -94,78 +93,8 @@ void interference_field_soa(const GainTable& gains,
       const std::size_t s = std::max(lo, begin);
       const std::size_t e = std::min(hi, begin + gains.block_cols(b));
       if (s >= e) continue;
-      double* f = field.data() + begin;
-      const std::size_t jlo = s - begin;
-      const std::size_t jhi = e - begin;
-      // Four transmitter rows per sweep: each listener's partial sum stays
-      // in a register across the four adds, executed in transmitter order —
-      // the compiler vectorizes the j loop across listeners (lanes), never
-      // across transmitters, so per-listener rounding matches the scalar
-      // kernel exactly.
-      std::size_t i = 0;
-      for (; i + 4 <= count; i += 4) {
-        const double* r0 = rows[(i + 0) * blocks + b];
-        const double* r1 = rows[(i + 1) * blocks + b];
-        const double* r2 = rows[(i + 2) * blocks + b];
-        const double* r3 = rows[(i + 3) * blocks + b];
-        for (std::size_t j = jlo; j < jhi; ++j) {
-          double acc = f[j];
-          acc += r0[j];
-          acc += r1[j];
-          acc += r2[j];
-          acc += r3[j];
-          f[j] = acc;
-        }
-      }
-      for (; i < count; ++i) {
-        const double* row = rows[i * blocks + b];
-        for (std::size_t j = jlo; j < jhi; ++j) f[j] += row[j];
-      }
-    }
-  };
-  if (pool != nullptr) {
-    pool->run_chunks(0, n, body);
-  } else {
-    body(0, n);
-  }
-}
-
-void interference_field_simd(const GainTable& gains,
-                             std::span<const NodeId> transmitters,
-                             std::vector<const double*>& row_scratch,
-                             std::vector<double>& field, SimdLevel level,
-                             TaskPool* pool) {
-  const std::size_t n = gains.size();
-  const std::size_t blocks = gains.blocks();
-  field.assign(n, 0.0);  // udwn-lint: allow(hot-path-alloc): warm-up sizing
-  if (transmitters.empty()) return;
-  const std::size_t count = transmitters.size();
-
-  // Serial prologue, identical to interference_field_soa: collect the
-  // (transmitter, block) → row pointers once so the parallel region below
-  // is pure reads.
-  row_scratch.clear();
-  const std::size_t need = count * blocks;
-  if (row_scratch.capacity() < need)
-    row_scratch.reserve(need);  // udwn-lint: allow(hot-path-alloc): warm-up
-  for (const NodeId u : transmitters)
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const double* row = gains.row_block(u, b);
-      UDWN_ASSERT(row != nullptr);  // caller ran ensure_rows
-      row_scratch.push_back(  // udwn-lint: allow(hot-path-alloc): reserved
-          row);
-    }
-  const double* const* rows = row_scratch.data();
-
-  auto body = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const std::size_t begin = gains.block_begin(b);
-      const std::size_t s = std::max(lo, begin);
-      const std::size_t e = std::min(hi, begin + gains.block_cols(b));
-      if (s >= e) continue;
-      simd_accumulate_columns(rows + b, blocks, count,
-                              field.data() + begin, s - begin, e - begin,
-                              level);
+      accumulate_columns(rows + b, blocks, count, field.data() + begin,
+                         s - begin, e - begin);
     }
   };
   if (pool != nullptr) {

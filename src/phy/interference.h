@@ -7,6 +7,7 @@
 // protocol and the physics used for delivery are identical.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -16,7 +17,6 @@
 #include "metric/quasi_metric.h"
 #include "phy/gain_table.h"
 #include "phy/pathloss.h"
-#include "phy/simd.h"
 
 namespace udwn {
 
@@ -46,50 +46,37 @@ double interference_at(const QuasiMetric& metric, const PathLoss& pathloss,
                        std::span<const NodeId> transmitters, NodeId listener,
                        NodeId excluded = NodeId{});
 
-// --- Gain-table kernels -----------------------------------------------------
+// --- Gain-table kernel -------------------------------------------------------
 //
-// Both kernels read unscaled gains from a GainTable whose transmitter rows
-// were made resident by ensure_rows (the caller guarantees this). Because
-// every table entry is the exact double the uncached kernel would compute —
-// with the diagonal stored as +0.0, and x + 0.0 == x for the non-negative
-// partial sums — both produce fields bit-for-bit identical to
-// interference_field_into for any thread count (chunks partition listeners,
-// each listener still accumulates in transmitter order).
+// Reads unscaled gains from a GainTable whose transmitter rows were made
+// resident by ensure_rows (the caller guarantees this). Because every table
+// entry is the exact double the uncached kernel would compute — with the
+// diagonal stored as +0.0, and x + 0.0 == x for the non-negative partial
+// sums — the field is bit-for-bit identical to interference_field_into for
+// any thread count (chunks partition listeners, each listener still
+// accumulates in transmitter order).
 
-/// Scalar reference over the table: one row at a time, listeners chunked.
-/// Kept as the comparison kernel for the `soa_kernel = false` knob and the
-/// determinism-audit matrix.
-UDWN_HOT void interference_field_rows(const GainTable& gains,
-                                      std::span<const NodeId> transmitters,
-                                      std::vector<double>& field,
-                                      TaskPool* pool = nullptr);
+/// Accumulate `count` transmitter gain rows into field columns [jlo, jhi):
+/// f[j] += rows[0][j] + rows[row_stride][j] + ... in exact row order per
+/// column. `rows[i * row_stride]` is transmitter i's row pointer for one
+/// listener block (callers pass row_scratch.data() + block with
+/// row_stride = blocks). Four rows per sweep keep each listener's partial
+/// sum in a register; the compiler may vectorize across listeners (lanes),
+/// never across transmitters, so no listener's sum is ever reassociated.
+/// The one accumulator loop of the gain-table field: interference_field_soa
+/// and the sharded slot pipeline (Channel::resolve_into) both call it.
+UDWN_HOT void accumulate_columns(const double* const* rows,
+                                 std::size_t row_stride, std::size_t count,
+                                 double* f, std::size_t jlo, std::size_t jhi);
 
-/// SoA/SIMD kernel: vectorizes across *listeners* (contiguous column blocks
-/// of several transmitter rows accumulate into a register before the field
-/// is stored back), while each listener lane still adds gains in exact
-/// transmitter order — the unroll never reassociates a single listener's
-/// sum, so the result is bit-identical to the scalar kernels. `row_scratch`
-/// is caller-owned reusable storage for the per-(transmitter, block) row
-/// pointers (no steady-state allocation).
+/// Field over the gain table: a serial prologue collects the (transmitter,
+/// block) row pointers into `row_scratch` (caller-owned, reused — no
+/// steady-state allocation), then listener chunks run accumulate_columns
+/// block by block.
 UDWN_HOT void interference_field_soa(const GainTable& gains,
                                      std::span<const NodeId> transmitters,
                                      std::vector<const double*>& row_scratch,
                                      std::vector<double>& field,
                                      TaskPool* pool = nullptr);
-
-/// Explicit-intrinsics variant of interference_field_soa: identical row
-/// prologue and block walk, but the inner column sweep dispatches to the
-/// AVX2/NEON accumulator selected at workspace construction (see simd.h).
-/// Bitwise identical to interference_field_soa for every level — SIMD lanes
-/// are listeners, each lane adds gains in exact transmitter order — which
-/// the property tests and the determinism audit enforce. `level == kScalar`
-/// runs the structurally identical scalar fallback (the forced-fallback
-/// dispatch path stays testable on any host).
-UDWN_HOT void interference_field_simd(const GainTable& gains,
-                                      std::span<const NodeId> transmitters,
-                                      std::vector<const double*>& row_scratch,
-                                      std::vector<double>& field,
-                                      SimdLevel level,
-                                      TaskPool* pool = nullptr);
 
 }  // namespace udwn

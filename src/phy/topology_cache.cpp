@@ -16,8 +16,7 @@ constexpr double kGridInflation = 1.0 + 1e-9;
 }  // namespace
 
 TopologyCache::TopologyCache(Config config)
-    : config_(config),
-      gains_(GainTable::Config{.tile_cols = config.gain_tile_cols,
+    : gains_(GainTable::Config{.tile_cols = config.gain_tile_cols,
                                .budget_bytes = config.gain_budget_bytes}) {}
 
 void TopologyCache::sync(const QuasiMetric& metric, const PathLoss& pathloss,
@@ -80,7 +79,7 @@ void TopologyCache::apply_delta(const TopologyDelta& delta) {
   const double r = comm_radius_ * kGridInflation;
   std::fill(affected_.begin(), affected_.end(), 0);
   const auto mark = [this](NodeId x) { affected_[x.value] = 1; };
-  if (euclid_ != nullptr && config_.use_spatial_grid) {
+  if (euclid_ != nullptr) {
     if (grid_stamp_ != delta.prev_metric_version + 1) return;
     // The grid still holds pre-move positions: for each mover, mark its
     // old ball, apply the move, then mark its new ball. Interleaving is
@@ -101,15 +100,12 @@ void TopologyCache::apply_delta(const TopologyDelta& delta) {
       grid_->for_each_within(euclid_->position(t), r, mark);
       affected_[t.value] = 1;
     }
-  } else if (euclid_ == nullptr) {
+  } else {
     if (!delta.alive_toggled.empty()) return;
     for (const NodeId v : delta.moved) {
       UDWN_ASSERT(v.value < affected_.size());
       affected_[v.value] = 1;
     }
-  } else {
-    // Euclidean without a grid: no geometry index to resolve balls with.
-    return;
   }
   // Everything fresh at prev_epoch and unaffected is fresh at delta.epoch.
   for (std::size_t u = 0; u < neighbor_stamp_.size(); ++u)
@@ -118,7 +114,7 @@ void TopologyCache::apply_delta(const TopologyDelta& delta) {
 }
 
 const SpatialGrid* TopologyCache::grid() {
-  if (euclid_ == nullptr || !config_.use_spatial_grid) return nullptr;
+  if (euclid_ == nullptr) return nullptr;
   const std::uint64_t stamp = metric_->version() + 1;
   if (grid_stamp_ != stamp) {
     grid_.emplace(euclid_->positions(), grid_cell_);

@@ -26,9 +26,11 @@
 // determinism audit enforces this, tests/test_slot_pipeline.cpp proves it
 // property-style.
 //
-// The grid is only ever attached to EuclideanMetric instances: grid queries
-// are symmetric Euclidean balls, and a general quasi-metric (MatrixMetric)
-// may be asymmetric, so pruning with a grid would be unsound there.
+// The grid is attached to every EuclideanMetric instance and to nothing
+// else: grid queries are symmetric Euclidean balls, and a general
+// quasi-metric (MatrixMetric) may be asymmetric, so pruning with a grid
+// would be unsound there. Non-Euclidean metrics run the same cache without
+// a grid (brute-force neighbor sweeps, dirty-set-only delta freshening).
 #pragma once
 
 #include <cstdint>
@@ -51,8 +53,6 @@ namespace udwn {
 class TopologyCache {
  public:
   struct Config {
-    /// Attach a SpatialGrid to Euclidean metrics for candidate pruning.
-    bool use_spatial_grid = true;
     /// Memory bound for the tiled gain table (see gain_table.h); 0 disables
     /// gain caching entirely. Replaces the old hard n <= 4096 cliff: any
     /// instance size gets LRU-cached gain rows within this budget.
@@ -104,20 +104,16 @@ class TopologyCache {
   /// that records a budget too small for even one row of tiles).
   [[nodiscard]] const GainTable& gains_storage() const { return gains_; }
 
-  /// Spatial grid over all points, or nullptr (non-Euclidean metric, or
-  /// grids disabled). Membership pruning only — interference stays exact.
+  /// Spatial grid over all points, or nullptr when the metric is not
+  /// Euclidean. Membership pruning only — interference stays exact.
   [[nodiscard]] const SpatialGrid* grid();
 
   /// The bound Euclidean metric, or nullptr when the metric is not
   /// Euclidean (asymmetric/graph instances must not be grid-pruned).
   [[nodiscard]] const EuclideanMetric* euclidean() const { return euclid_; }
 
-  [[nodiscard]] const Config& config() const { return config_; }
-
  private:
   void fill_neighbors(std::uint32_t u);
-
-  Config config_;
 
   const QuasiMetric* metric_ = nullptr;
   const PathLoss* pathloss_ = nullptr;

@@ -20,12 +20,8 @@ Engine::Engine(const Channel& channel, Network& network,
       rng_(config.seed),
       workspace_(SlotWorkspaceConfig{
           .cache_topology = config.cache_topology,
-          .use_spatial_grid = config.use_spatial_grid,
           .gain_budget_bytes = config.gain_budget_bytes,
           .gain_tile_cols = config.gain_tile_cols,
-          .soa_kernel = config.soa_kernel,
-          .simd = config.simd,
-          .field_sharding = config.field_sharding,
           .far_field_eps = config.far_field_eps,
           .far_field_cell_factor = config.far_field_cell_factor,
           .threads = config.threads,

@@ -54,9 +54,12 @@ struct EngineConfig {
   std::uint64_t seed = 1;
   /// Worker threads for the slot pipeline's interference/decode kernels
   /// (including the calling thread); 1 = serial. Every value produces
-  /// bit-identical traces (enforced by tools/determinism_audit).
+  /// bit-identical traces (enforced by tools/determinism_audit). When the
+  /// gain table has at least one listener block per thread, each slot's
+  /// field is sharded by block, fusing tile fills with accumulation.
   int threads = 1;
-  /// Serve neighborhoods/gains from the epoch-invalidated TopologyCache.
+  /// Serve neighborhoods/gains from the epoch-invalidated TopologyCache
+  /// (plus SpatialGrid candidate pruning on Euclidean instances).
   /// Off = brute-force re-derivation per slot (same bits, slower).
   bool cache_topology = true;
   /// Per-node delta invalidation on top of cache_topology: each round the
@@ -68,22 +71,6 @@ struct EngineConfig {
   /// the delta only ever re-certifies values the epoch path would have
   /// recomputed to the same bits). No effect without cache_topology.
   bool delta_invalidation = true;
-  /// SpatialGrid candidate pruning on Euclidean instances (no effect on
-  /// graph/asymmetric metrics, where the grid is never attached).
-  bool use_spatial_grid = true;
-  /// SoA/SIMD interference kernel over the tiled gain table; false = scalar
-  /// row-at-a-time kernel. Bit-identical either way (audited).
-  bool soa_kernel = true;
-  /// Explicit SIMD intrinsics (AVX2/NEON, runtime CPU dispatch) for the SoA
-  /// kernel; false — or an unsupported CPU — uses the autovectorized
-  /// reference kernel. Bit-identical either way (audited). Overridable via
-  /// the UDWN_SIMD environment knob (0 forces autovectorized, 1 forces
-  /// detection), resolved once at engine construction.
-  bool simd = true;
-  /// Shard each slot's interference field across the TaskPool by listener
-  /// block, fusing gain-tile fills with accumulation per shard (takes
-  /// effect with threads > 1 and enough blocks). Bit-identical (audited).
-  bool field_sharding = true;
   /// Certified far-field approximation: aggregate transmitters beyond a
   /// derived separation radius per spatial cell with worst-case relative
   /// field error <= far_field_eps (see far_field.h for the bound's

@@ -186,9 +186,7 @@ TEST(SteadyStateAllocation, UncachedPipelineAlsoSettles) {
   });
   const CarrierSensing sensing = scenario.sensing_local();
   Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
-                EngineConfig{.seed = 7,
-                             .cache_topology = false,
-                             .use_spatial_grid = false});
+                EngineConfig{.seed = 7, .cache_topology = false});
 
   for (int r = 0; r < 25; ++r) engine.step();
   EXPECT_EQ(allocations_during_rounds(engine, 10), 0);
@@ -227,7 +225,6 @@ TEST(SteadyStateAllocation, SoaTiledTableWithEvictionSettles) {
   const Channel& channel = scenario.channel();
   const Network& network = scenario.network();
   SlotWorkspace ws({.cache_topology = true,
-                    .use_spatial_grid = true,
                     .gain_budget_bytes = 10240,
                     .gain_tile_cols = 16});
 
@@ -335,27 +332,24 @@ std::uint64_t engine_trace_hash(const EngineConfig& config) {
 }
 
 TEST(EngineWorkspace, PipelineConfigurationsShareOneTrace) {
-  const std::uint64_t reference = engine_trace_hash(
-      EngineConfig{.seed = 3,
-                   .cache_topology = false,
-                   .use_spatial_grid = false});
+  const std::uint64_t reference =
+      engine_trace_hash(EngineConfig{.seed = 3, .cache_topology = false});
   EXPECT_EQ(reference,
             engine_trace_hash(EngineConfig{.seed = 3}));  // cache + grid
   EXPECT_EQ(reference, engine_trace_hash(EngineConfig{
-                           .seed = 3, .use_spatial_grid = false}));
-  EXPECT_EQ(reference, engine_trace_hash(EngineConfig{
                            .seed = 3, .threads = 3}));
   EXPECT_EQ(reference,
-            engine_trace_hash(EngineConfig{.seed = 3,
-                                           .threads = 2,
-                                           .cache_topology = false,
-                                           .use_spatial_grid = false}));
-  // Kernel and gain-table variants: scalar row kernel, table disabled, and
-  // tiled multi-block rows all reproduce the same trace.
-  EXPECT_EQ(reference, engine_trace_hash(
-                           EngineConfig{.seed = 3, .soa_kernel = false}));
+            engine_trace_hash(EngineConfig{
+                .seed = 3, .threads = 2, .cache_topology = false}));
+  // Gain-table variants: table disabled, tiled multi-block rows, and the
+  // sharded field (16-column tiles: 4 blocks >= 4 threads at n = 56) all
+  // reproduce the same trace.
   EXPECT_EQ(reference, engine_trace_hash(EngineConfig{
                            .seed = 3, .gain_budget_bytes = 0}));
+  EXPECT_EQ(reference, engine_trace_hash(EngineConfig{
+                           .seed = 3, .gain_tile_cols = 16}));
+  EXPECT_EQ(reference, engine_trace_hash(EngineConfig{
+                           .seed = 3, .threads = 4, .gain_tile_cols = 16}));
   // Observability must be a pure observer: attaching an Obs handle (alone
   // and combined with threads) cannot change the ground-truth trace.
   Obs obs(ObsConfig{.state_transitions = true});

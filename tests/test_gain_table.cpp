@@ -268,7 +268,7 @@ TEST(GainTable, PipelineStaysExactBeyondLegacyNodeCliff) {
   const Channel& channel = scenario.channel();
   const Network& network = scenario.network();
 
-  SlotWorkspace ws({.cache_topology = true, .use_spatial_grid = true});
+  SlotWorkspace ws({.cache_topology = true});
   Rng rng(608);
   for (int trial = 0; trial < 2; ++trial) {
     std::vector<NodeId> txs;
@@ -301,8 +301,7 @@ TEST(GainTable, PipelineFallsBackExactlyWhenBudgetTooSmall) {
   const Channel& channel = scenario.channel();
   const Network& network = scenario.network();
 
-  SlotWorkspace ws({.cache_topology = true, .use_spatial_grid = true,
-                    .gain_budget_bytes = 1024});
+  SlotWorkspace ws({.cache_topology = true, .gain_budget_bytes = 1024});
   Rng rng(610);
   std::vector<NodeId> txs;
   for (std::uint32_t v = 0; v < n; ++v)

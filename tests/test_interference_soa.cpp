@@ -1,8 +1,10 @@
-// Property tests for the gain-table interference kernels: for every metric
+// Property tests for the gain-table interference kernel: for every metric
 // family, path-loss configuration, thread count and transmitter set, the
-// SoA kernel, the scalar row kernel and the uncached brute-force kernel
-// must produce bit-for-bit identical fields (exact ==, never NEAR) — the
-// contract docs/ENGINE.md states and the determinism audit relies on.
+// SoA kernel and the uncached brute-force kernel must produce bit-for-bit
+// identical fields (exact ==, never NEAR) — the contract docs/ENGINE.md
+// states and the determinism audit relies on. The shared column
+// accumulator is checked on its own against a row-at-a-time sum over
+// ragged column windows.
 #include "phy/interference.h"
 
 #include <gtest/gtest.h>
@@ -30,6 +32,40 @@ std::vector<NodeId> take_transmitters(std::size_t n, std::size_t count,
   return all;
 }
 
+TEST(InterferenceSoa, AccumulateColumnsMatchesRowOrderOnRaggedWindows) {
+  // Synthetic rows with full-entropy doubles: any reassociation, a lost
+  // remainder row or a mishandled window edge shows up as a last-bit
+  // mismatch against the plain row-at-a-time sum somewhere in this sweep.
+  constexpr std::size_t kCols = 37;  // not a multiple of any lane width
+  Rng rng(2024);
+  std::vector<std::vector<double>> storage;
+  std::vector<const double*> rows;
+  for (std::size_t i = 0; i < 9; ++i) {
+    std::vector<double> row(kCols);
+    for (double& x : row) x = rng.uniform() * 1e3 + 1e-9;
+    storage.push_back(std::move(row));
+  }
+  for (const auto& row : storage) rows.push_back(row.data());
+
+  for (std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                            std::size_t{4}, std::size_t{5}, std::size_t{8},
+                            std::size_t{9}}) {
+    for (std::size_t jlo : {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
+      for (std::size_t jhi : {jlo, jlo + 1, jlo + 5, kCols}) {
+        std::vector<double> want(kCols, 0.5);
+        for (std::size_t i = 0; i < count; ++i)
+          for (std::size_t j = jlo; j < jhi; ++j) want[j] += rows[i][j];
+        std::vector<double> got(kCols, 0.5);
+        accumulate_columns(rows.data(), 1, count, got.data(), jlo, jhi);
+        for (std::size_t j = 0; j < kCols; ++j)
+          EXPECT_EQ(want[j], got[j])
+              << "count=" << count << " window=[" << jlo << "," << jhi
+              << ") col " << j;
+      }
+    }
+  }
+}
+
 void expect_kernels_identical(const QuasiMetric& metric,
                               const PathLoss& pathloss,
                               GainTable::Config table_config,
@@ -40,7 +76,6 @@ void expect_kernels_identical(const QuasiMetric& metric,
   ASSERT_TRUE(gains.enabled()) << context;
 
   std::vector<double> reference;
-  std::vector<double> rows_field;
   std::vector<double> soa_field;
   std::vector<const double*> row_scratch;
 
@@ -52,17 +87,12 @@ void expect_kernels_identical(const QuasiMetric& metric,
     for (int threads : {1, 2, 3}) {
       TaskPool pool(threads);
       TaskPool* pool_arg = threads > 1 ? &pool : nullptr;
-      interference_field_rows(gains, txs, rows_field, pool_arg);
       interference_field_soa(gains, txs, row_scratch, soa_field, pool_arg);
-      ASSERT_EQ(reference.size(), rows_field.size());
       ASSERT_EQ(reference.size(), soa_field.size());
       for (std::size_t v = 0; v < n; ++v) {
-        EXPECT_EQ(reference[v], rows_field[v])
-            << context << " rows kernel, txs=" << count
-            << " threads=" << threads << " node " << v;
         EXPECT_EQ(reference[v], soa_field[v])
-            << context << " soa kernel, txs=" << count
-            << " threads=" << threads << " node " << v;
+            << context << " txs=" << count << " threads=" << threads
+            << " node " << v;
       }
     }
   }
@@ -88,7 +118,7 @@ TEST(InterferenceSoa, MatchesBruteForceOnAsymmetricMatrixMetric) {
 
 TEST(InterferenceSoa, MatchesBruteForceAcrossTileBlocks) {
   // 16-column tiles at n = 67: five blocks per row, the last ragged (3
-  // columns) — exercises the block-intersection arithmetic of both kernels.
+  // columns) — exercises the kernel's block-intersection arithmetic.
   EuclideanMetric metric(test::random_points(67, 7.0, 502));
   const PathLoss pl(1.0, 3.0, 1e-3);
   expect_kernels_identical(metric, pl, GainTable::Config{.tile_cols = 16},

@@ -397,12 +397,14 @@ TEST(EngineObs, EventStreamIsIdenticalAcrossThreadsAndKernels) {
   EXPECT_EQ(reference,
             run_observed(EngineConfig{.seed = 3, .threads = 4})
                 ->snapshot().events);
+  // Brute-force kernel (no cache) and the sharded field (16-column tiles:
+  // 4 blocks >= 4 threads at kNodes = 56).
   EXPECT_EQ(reference,
-            run_observed(EngineConfig{.seed = 3, .soa_kernel = false})
+            run_observed(EngineConfig{.seed = 3, .cache_topology = false})
                 ->snapshot().events);
   EXPECT_EQ(reference,
             run_observed(
-                EngineConfig{.seed = 3, .threads = 4, .soa_kernel = false})
+                EngineConfig{.seed = 3, .threads = 4, .gain_tile_cols = 16})
                 ->snapshot().events);
 }
 

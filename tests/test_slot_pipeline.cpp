@@ -1,12 +1,14 @@
 // Property tests for the slot pipeline: Channel::resolve_into (cached /
-// grid-pruned / parallel) must be bit-for-bit identical to the brute-force
-// reference Channel::resolve under every configuration — all reception
-// models, cache and grid toggles, thread counts, power scales, and under
-// churn + mobility invalidation. Asymmetric quasi-metrics additionally must
-// never be grid-pruned (the grid is Euclidean-only by contract).
+// grid-pruned / parallel / sharded) must be bit-for-bit identical to the
+// brute-force reference Channel::resolve under every configuration — all
+// reception models, cache on/off, gain-table shapes, thread counts, power
+// scales, and under churn + mobility invalidation. Asymmetric
+// quasi-metrics additionally must never be grid-pruned (the grid is
+// Euclidean-only by contract).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -55,36 +57,32 @@ struct PipelineVariant {
 
 std::vector<PipelineVariant> all_variants() {
   return {
-      {"cache+grid", {.cache_topology = true, .use_spatial_grid = true}},
-      {"cache-only", {.cache_topology = true, .use_spatial_grid = false}},
-      {"uncached", {.cache_topology = false, .use_spatial_grid = false}},
+      {"cache+grid", {.cache_topology = true}},
+      {"uncached", {.cache_topology = false}},
       {"cache+grid+threads3",
-       {.cache_topology = true, .use_spatial_grid = true, .threads = 3}},
-      {"uncached+threads2",
-       {.cache_topology = false, .use_spatial_grid = false, .threads = 2}},
-      {"scalar-kernel",
-       // Row-at-a-time kernel over the same gain table.
-       {.cache_topology = true, .use_spatial_grid = true,
-        .soa_kernel = false}},
+       // One 4096-column block < 3 threads: the unsharded pool kernel.
+       {.cache_topology = true, .threads = 3}},
+      {"uncached+threads2", {.cache_topology = false, .threads = 2}},
+      {"tiled+threads3",
+       // 16-column tiles at n = 60: 4 blocks >= 3 threads, so the fused
+       // plan/fill shard path (Channel::sharded_field) runs every slot.
+       {.cache_topology = true, .gain_tile_cols = 16, .threads = 3}},
       {"no-gain-table",
        // Budget 0 disables gain caching entirely while keeping the
        // neighbor cache and grid on (uncached interference kernel).
-       {.cache_topology = true, .use_spatial_grid = true,
-        .gain_budget_bytes = 0}},
+       {.cache_topology = true, .gain_budget_bytes = 0}},
       {"tiled-gain-table",
        // 16-column tiles force multi-block rows at n = 60.
-       {.cache_topology = true, .use_spatial_grid = true,
-        .gain_tile_cols = 16}},
+       {.cache_topology = true, .gain_tile_cols = 16}},
       {"tiled-lru-pressure",
        // 60 resident tiles vs 240 logical: ensure_rows succeeds only by
        // evicting, so every slot exercises the LRU path.
-       {.cache_topology = true, .use_spatial_grid = true,
-        .gain_budget_bytes = 7680, .gain_tile_cols = 16}},
+       {.cache_topology = true, .gain_budget_bytes = 7680,
+        .gain_tile_cols = 16}},
       {"gain-table-fallback",
        // Budget below one tile: ensure_rows always fails and the pipeline
        // falls back to the uncached kernel mid-flight.
-       {.cache_topology = true, .use_spatial_grid = true,
-        .gain_budget_bytes = 512}},
+       {.cache_topology = true, .gain_budget_bytes = 512}},
   };
 }
 
@@ -110,6 +108,12 @@ TEST_P(SlotPipelineModels, MatchesReferenceOnRandomEuclidean) {
         expect_outcomes_identical(ref, got, variant.label);
       }
     }
+    if (std::string_view(variant.label) == "tiled+threads3") {
+      // The variant must really take the sharded path: blocks >= threads.
+      ASSERT_NE(ws.cache().gains(), nullptr);
+      EXPECT_GE(ws.cache().gains()->blocks(),
+                static_cast<std::size_t>(ws.pool()->threads()));
+    }
   }
 }
 
@@ -127,7 +131,7 @@ TEST(SlotPipeline, CacheInvalidatesUnderChurnAndMobility) {
   Rng rng(123);
 
   SlotWorkspace ws(
-      {.cache_topology = true, .use_spatial_grid = true, .threads = 2});
+      {.cache_topology = true, .threads = 2});
   for (int round = 0; round < 30; ++round) {
     // Churn: toggle a random node (never leaving fewer than 2 alive).
     const NodeId victim(static_cast<std::uint32_t>(rng.below(50)));
@@ -156,7 +160,7 @@ TEST(SlotPipeline, StaleWorkspaceReusedAcrossEpochsStaysExact) {
   const Channel& channel = scenario.channel();
   Network& network = scenario.network();
   Rng rng(5);
-  SlotWorkspace ws({.cache_topology = true, .use_spatial_grid = true});
+  SlotWorkspace ws({.cache_topology = true});
 
   for (int flip = 0; flip < 6; ++flip) {
     network.set_alive(NodeId(3), flip % 2 == 0);
@@ -184,7 +188,7 @@ TEST_P(SlotPipelineAsymmetric, MatchesReferenceAndNeverUsesGrid) {
 
   ASSERT_EQ(scenario.euclidean(), nullptr);
   SlotWorkspace ws(
-      {.cache_topology = true, .use_spatial_grid = true, .threads = 2});
+      {.cache_topology = true, .threads = 2});
   for (int trial = 0; trial < 10; ++trial) {
     const auto txs = sample_transmitters(network, rng, 0.25);
     const SlotOutcome ref = channel.resolve(txs, network.alive_mask(), 1.0);
@@ -234,7 +238,7 @@ TEST(SlotPipeline, CachedNeighborsMatchChannelNeighbors) {
   const Channel& channel = scenario.channel();
   Network& network = scenario.network();
   Rng rng(13);
-  SlotWorkspace ws({.cache_topology = true, .use_spatial_grid = true});
+  SlotWorkspace ws({.cache_topology = true});
 
   for (int round = 0; round < 5; ++round) {
     network.set_alive(NodeId(static_cast<std::uint32_t>(rng.below(45))), round % 2 == 0);
@@ -256,7 +260,7 @@ TEST(SlotPipeline, EmptyAndFullTransmitterSets) {
   Scenario scenario(test::random_points(25, 4.0, 7007), test::default_config());
   const Channel& channel = scenario.channel();
   const Network& network = scenario.network();
-  SlotWorkspace ws({.cache_topology = true, .use_spatial_grid = true});
+  SlotWorkspace ws({.cache_topology = true});
 
   const std::vector<NodeId> none;
   std::vector<NodeId> everyone;

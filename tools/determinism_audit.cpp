@@ -66,18 +66,13 @@ struct Options {
 struct PipelineConfig {
   const char* label;
   bool cache_topology;
-  bool use_spatial_grid;
   int threads;
-  bool soa_kernel;
   /// Per-node delta invalidation (EngineConfig::delta_invalidation);
   /// false = the pure epoch-invalidation reference path.
   bool delta_invalidation = true;
   /// Attach an Obs handle for the run: observability must be a pure
   /// observer, so the trace hash has to match the reference exactly.
   bool obs = false;
-  /// Explicit SIMD intrinsics for the SoA kernel (EngineConfig::simd);
-  /// false = autovectorized reference. Both must hash identically.
-  bool simd = true;
   /// Certified far-field approximation (EngineConfig::far_field_eps).
   /// Nonzero rows are NOT compared against the exact reference — only
   /// against each other (self-determinism across thread counts).
@@ -113,9 +108,6 @@ void run_dynamic_broadcast(const Options& options, bool perturb,
                              .threads = pipeline.threads,
                              .cache_topology = pipeline.cache_topology,
                              .delta_invalidation = pipeline.delta_invalidation,
-                             .use_spatial_grid = pipeline.use_spatial_grid,
-                             .soa_kernel = pipeline.soa_kernel,
-                             .simd = pipeline.simd,
                              .far_field_eps = pipeline.far_field_eps,
                              .far_field_cell_factor =
                                  pipeline.far_field_cell_factor,
@@ -152,19 +144,18 @@ void run_dynamic_broadcast(const Options& options, bool perturb,
 /// bit-exact equality.
 int run_pipeline_matrix(const Options& options) {
   const PipelineConfig configs[] = {
-      {"uncached-serial", false, false, 1, false, false},
-      {"epoch-serial", true, true, 1, false, /*delta=*/false},
-      {"delta-serial", true, true, 1, false, /*delta=*/true},
-      {"soa-kernel", true, true, 1, true, true},
-      {"epoch-threads", true, true, options.threads, true, /*delta=*/false},
-      {"delta-threads", true, true, options.threads, true, /*delta=*/true},
-      {"obs-on", true, true, options.threads, true, true, /*obs=*/true},
-      {"simd-off", true, true, options.threads, true, true, false,
-       /*simd=*/false},
+      {"uncached-serial", false, 1, /*delta=*/false},
+      {"epoch-serial", true, 1, /*delta=*/false},
+      {"delta-serial", true, 1, /*delta=*/true},
+      // Default 4096-column tiles: one block < threads, so these rows run
+      // the unsharded pool kernel.
+      {"epoch-threads", true, options.threads, /*delta=*/false},
+      {"delta-threads", true, options.threads, /*delta=*/true},
+      {"obs-on", true, options.threads, true, /*obs=*/true},
       // 8-column tiles: blocks = ceil(n/8) >= threads at audit sizes, so
       // the fused plan/fill shard path runs every slot.
-      {"sharded", true, true, options.threads, true, true, false, true, 0.0,
-       2.0, /*gain_tile_cols=*/8},
+      {"sharded", true, options.threads, true, false, 0.0, 2.0,
+       /*gain_tile_cols=*/8},
   };
   std::vector<TraceHashRecorder> traces(std::size(configs));
   for (std::size_t i = 0; i < std::size(configs); ++i)
@@ -188,7 +179,7 @@ int run_pipeline_matrix(const Options& options) {
 /// repeat must produce one identical trace — the approximation must be a
 /// pure function of the seed, never of scheduling.
 int run_far_field_group(const Options& options) {
-  PipelineConfig serial{"far-field-serial", true, true, 1, true};
+  PipelineConfig serial{"far-field-serial", true, 1};
   serial.far_field_eps = 0.5;
   serial.far_field_cell_factor = 0.25;  // ρ inside the chain extent
   PipelineConfig threaded = serial;
@@ -217,7 +208,7 @@ int run_far_field_group(const Options& options) {
 /// seed-stream discipline sim/batch.h documents.
 int run_batch_check(const Options& options) {
   constexpr std::size_t kTrials = 3;
-  const PipelineConfig pipeline{"cached+grid-serial", true, true, 1, true};
+  const PipelineConfig pipeline{"cached+grid-serial", true, 1};
   const auto seeds = BatchRunner::trial_seeds(options.seed, kTrials);
 
   auto trial_hash = [&](std::size_t k) {
@@ -452,7 +443,7 @@ int run_baselines_group(const Options& options) {
 }
 
 int run(const Options& options) {
-  const PipelineConfig reference{"cached+grid-serial", true, true, 1, true};
+  const PipelineConfig reference{"cached+grid-serial", true, 1};
   int call = 0;
   const DeterminismReport report = DeterminismAuditor::audit(
       [&](TraceHashRecorder& recorder) {
