@@ -7,14 +7,13 @@
 //
 // Machine-readable output: with UDWN_JSON=<path> in the environment, every
 // banner/show/shape_check call is mirrored into a JSON document written to
-// <path> when the process exits — experiment id + claim, every table
-// (headers + string rows), and every shape-check verdict. UDWN_CSV=1 keeps
-// emitting inline CSV as before; the two are independent.
+// <path> by common/json.h when the process exits — experiment id + claim,
+// every table (headers + string rows), and every shape-check verdict.
+// UDWN_CSV=1 keeps emitting inline CSV as before; the two are independent.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -28,6 +27,7 @@
 #include "analysis/scenario.h"
 #include "bench/cpu_features.h"
 #include "common/env.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -37,41 +37,7 @@
 
 namespace udwn::bench {
 
-/// Render a double as a strict JSON value token. Non-finite values (NaN /
-/// ±inf, e.g. a mean over zero deliveries in a degenerate arena cell) become
-/// `null` — "%g" would print bare `nan`/`inf`, which is not JSON and breaks
-/// the CI smoke step's json.load.
-inline std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
-
 namespace detail {
-
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Collects everything the binary reported and flushes it as one JSON
 /// document at static-destruction time (covers early std::exit too, since
@@ -112,37 +78,37 @@ class JsonSink {
       std::cerr << "UDWN_JSON: cannot open " << path_ << " for writing\n";
       return;
     }
-    os << "{\n  \"experiment\": \"" << json_escape(experiment_)
-       << "\",\n  \"claim\": \"" << json_escape(claim_)
-       << "\",\n  \"cpu_features\": \"" << json_escape(cpu_features_string())
-       << "\",\n  \"tables\": [";
-    for (std::size_t t = 0; t < tables_.size(); ++t) {
-      const auto& [headers, rows] = tables_[t];
-      os << (t ? ",\n    {" : "\n    {") << "\"headers\": [";
-      for (std::size_t i = 0; i < headers.size(); ++i)
-        os << (i ? ", " : "") << '"' << json_escape(headers[i]) << '"';
-      os << "], \"rows\": [";
-      for (std::size_t r = 0; r < rows.size(); ++r) {
-        os << (r ? ", [" : "[");
-        for (std::size_t i = 0; i < rows[r].size(); ++i)
-          os << (i ? ", " : "") << '"' << json_escape(rows[r][i]) << '"';
-        os << ']';
-      }
-      os << "]}";
+    const auto strings = [](const std::vector<std::string>& values) {
+      std::vector<Json> items;
+      for (const std::string& value : values)
+        items.push_back(Json::string(value));
+      return Json::array(std::move(items));
+    };
+    std::vector<Json> tables;
+    for (const auto& [headers, rows] : tables_) {
+      std::vector<Json> row_items;
+      for (const auto& row : rows) row_items.push_back(strings(row));
+      tables.push_back(
+          Json::object({{"headers", strings(headers)},
+                        {"rows", Json::array(std::move(row_items))}}));
     }
-    os << "\n  ],\n  \"metrics\": [";
-    for (std::size_t m = 0; m < metrics_.size(); ++m) {
-      os << (m ? ",\n    {" : "\n    {") << "\"name\": \""
-         << json_escape(metrics_[m].first) << "\", \"value\": "
-         << json_number(metrics_[m].second) << "}";
-    }
-    os << "\n  ],\n  \"checks\": [";
-    for (std::size_t c = 0; c < checks_.size(); ++c) {
-      os << (c ? ",\n    {" : "\n    {") << "\"ok\": "
-         << (checks_[c].first ? "true" : "false") << ", \"what\": \""
-         << json_escape(checks_[c].second) << "\"}";
-    }
-    os << "\n  ]\n}\n";
+    std::vector<Json> metrics;
+    for (const auto& [name, value] : metrics_)
+      metrics.push_back(Json::object(
+          {{"name", Json::string(name)}, {"value", Json::number(value)}}));
+    std::vector<Json> checks;
+    for (const auto& [ok, what] : checks_)
+      checks.push_back(Json::object(
+          {{"ok", Json::boolean(ok)}, {"what", Json::string(what)}}));
+    const Json doc = Json::object({
+        {"experiment", Json::string(experiment_)},
+        {"claim", Json::string(claim_)},
+        {"cpu_features", Json::string(cpu_features_string())},
+        {"tables", Json::array(std::move(tables))},
+        {"metrics", Json::array(std::move(metrics))},
+        {"checks", Json::array(std::move(checks))},
+    });
+    os << doc.dump() << '\n';
   }
 
  private:
@@ -249,7 +215,7 @@ inline void shape_check(bool ok, const std::string& what) {
 
 /// Report a named scalar metric: printed inline and mirrored into the JSON
 /// document's "metrics" array (non-finite values become JSON null — see
-/// json_number).
+/// Json::dump).
 inline void metric(const std::string& name, double value) {
   std::cout << "  " << name << " = " << value << "\n";
   detail::JsonSink::instance().add_metric(name, value);

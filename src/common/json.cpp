@@ -1,12 +1,13 @@
-#include "svc/json.h"
+#include "common/json.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <system_error>
 #include <limits>
+#include <system_error>
 
-namespace udwn::svc {
+namespace udwn {
 
 namespace {
 
@@ -144,10 +145,9 @@ class Parser {
             code = (code << 4) | static_cast<unsigned>(nibble);
           }
           pos_ += 4;
-          // BMP decode, re-encoded as UTF-8 (same policy as the obs JSONL
-          // importer). Surrogates are rejected rather than paired: the
-          // protocol is ASCII-identifier territory and a lone surrogate is
-          // always an encoding bug.
+          // BMP decode, re-encoded as UTF-8. Surrogates are rejected rather
+          // than paired: escape() writes \u only for control characters,
+          // so a lone surrogate is always an encoding bug.
           if (code >= 0xD800 && code <= 0xDFFF) {
             fail("surrogate \\u escape unsupported");
             return false;
@@ -450,6 +450,7 @@ std::string Json::dump() const {
     case Kind::Number: {
       if (has_uint_) return std::to_string(uint_);
       if (has_int_) return std::to_string(int_);
+      if (!std::isfinite(double_)) return "null";
       char buf[32];
       std::snprintf(buf, sizeof buf, "%.17g", double_);
       return buf;
@@ -476,4 +477,4 @@ std::string Json::dump() const {
   return "null";
 }
 
-}  // namespace udwn::svc
+}  // namespace udwn

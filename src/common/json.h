@@ -1,14 +1,16 @@
-// Minimal strict JSON for the scenario-service wire protocol.
+// Minimal strict JSON: the one codec for every JSON surface of the
+// repository — the scenario-service wire protocol (docs/SERVICE.md), the
+// JSONL trace import/export (obs/export.h) and the experiments' UDWN_JSON
+// documents (bench/exp_common.h).
 //
-// The service speaks JSONL (one JSON object per line, docs/SERVICE.md), so
-// it needs a real parser — unlike the obs exporters, whose schema is fixed
-// and self-produced, a gateway must survive arbitrary client bytes. This
-// one is deliberately small and strict: UTF-8 in, full-input consumption,
-// bounded nesting depth, objects kept as ordered (insertion-order) vectors
-// so parsing is deterministic and never touches an unordered container
-// (tools/udwn_lint.py, rule unordered-iter). Parse failures return a
-// position-tagged error string instead of throwing: malformed client input
-// is an expected event, not an exception.
+// A gateway must survive arbitrary client bytes and a trace importer must
+// refuse a damaged file, so the parser is deliberately small and strict:
+// UTF-8 in, full-input consumption, bounded nesting depth, objects kept as
+// ordered (insertion-order) vectors so parsing is deterministic and never
+// touches an unordered container (tools/udwn_analyze.py, rule
+// det-unordered-iter). Parse failures return a position-tagged error string
+// instead of throwing: malformed input is an expected event, not an
+// exception.
 //
 // Numbers keep three views (double, int64, uint64 where representable) so
 // 64-bit seeds survive without floating-point truncation.
@@ -22,7 +24,7 @@
 #include <utility>
 #include <vector>
 
-namespace udwn::svc {
+namespace udwn {
 
 class Json;
 
@@ -80,7 +82,8 @@ class Json {
                                    std::string* error = nullptr);
 
   /// Compact deterministic serialization (no whitespace, members in stored
-  /// order, doubles via %.17g so values round-trip).
+  /// order, doubles via %.17g so values round-trip; a non-finite double
+  /// becomes `null`, since JSON has no NaN or infinity).
   [[nodiscard]] std::string dump() const;
 
   /// JSON string-escape `raw` (without the surrounding quotes).
@@ -99,4 +102,4 @@ class Json {
   JsonMembers members_;
 };
 
-}  // namespace udwn::svc
+}  // namespace udwn

@@ -1,147 +1,55 @@
 #include "obs/export.h"
 
-#include <cstdio>
-#include <cstring>
+#include <charconv>
 #include <fstream>
-#include <sstream>
+#include <limits>
+#include <string_view>
+#include <system_error>
+
+#include "common/json.h"
 
 namespace udwn {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+/// Member `key` of an imported line as a string; false when absent or not
+/// a string.
+bool read_string(const Json& line, std::string_view key, std::string& out) {
+  const Json* value = line.find(key);
+  if (value == nullptr || !value->is_string()) return false;
+  out = value->as_string();
+  return true;
+}
+
+/// Member `key` of an imported line as an unsigned integer that fits `T`;
+/// false when absent, not an integer literal, negative or out of range.
+template <typename T>
+bool read_uint(const Json& line, std::string_view key, T& out) {
+  const Json* value = line.find(key);
+  if (value == nullptr) return false;
+  const std::optional<std::uint64_t> u = value->as_uint64();
+  if (!u.has_value() || *u > std::numeric_limits<T>::max()) return false;
+  out = static_cast<T>(*u);
+  return true;
+}
+
+/// Inverse of event_kind_name(); nullopt for a name it never produces.
+std::optional<std::uint16_t> event_kind_from_name(std::string_view name) {
+  for (const EventKind kind :
+       {EventKind::kSlotEnd, EventKind::kDelivery, EventKind::kMassDelivery,
+        EventKind::kStateTransition, EventKind::kRoundEnd,
+        EventKind::kShardSpan}) {
+    const auto value = static_cast<std::uint16_t>(kind);
+    if (name == event_kind_name(value)) return value;
   }
-  return out;
-}
-
-/// Extract `"key":<u64>` from a JSON line. The exporter writes flat objects
-/// with unambiguous keys, so a substring scan is sufficient for re-import.
-bool find_u64(const std::string& line, const char* key, std::uint64_t& out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* p = line.c_str() + pos + needle.size();
-  char* end = nullptr;
-  out = std::strtoull(p, &end, 10);
-  return end != p;
-}
-
-int hex_value(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-bool find_string(const std::string& line, const char* key, std::string& out) {
-  const std::string needle = std::string("\"") + key + "\":\"";
-  const auto start = line.find(needle);
-  if (start == std::string::npos) return false;
-  std::size_t i = start + needle.size();
-  out.clear();
-  while (i < line.size() && line[i] != '"') {
-    if (line[i] == '\\' && i + 1 < line.size()) {
-      ++i;
-      switch (line[i]) {
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'u': {
-          // \uXXXX — the escape json_escape emits for control characters.
-          // Decode the full BMP form: code points past 0x7f re-encode as
-          // UTF-8 so any well-formed escape round-trips, and a malformed
-          // one fails the whole parse instead of importing garbage.
-          if (i + 4 >= line.size()) return false;
-          unsigned code = 0;
-          for (int h = 0; h < 4; ++h) {
-            const int nibble = hex_value(line[++i]);
-            if (nibble < 0) return false;
-            code = (code << 4) | static_cast<unsigned>(nibble);
-          }
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default:
-          // "\\", "\"", "\/" and any future passthrough escape.
-          out += line[i];
-      }
-    } else {
-      out += line[i];
-    }
-    ++i;
-  }
-  return i < line.size();
-}
-
-std::uint16_t event_kind_from_name(const std::string& name) {
-  if (name == "slot_end") return static_cast<std::uint16_t>(EventKind::kSlotEnd);
-  if (name == "delivery") return static_cast<std::uint16_t>(EventKind::kDelivery);
-  if (name == "mass_delivery")
-    return static_cast<std::uint16_t>(EventKind::kMassDelivery);
-  if (name == "state_transition")
-    return static_cast<std::uint16_t>(EventKind::kStateTransition);
-  if (name == "round_end")
-    return static_cast<std::uint16_t>(EventKind::kRoundEnd);
-  if (name == "shard_span")
-    return static_cast<std::uint16_t>(EventKind::kShardSpan);
-  if (name.rfind("kind_", 0) == 0)
-    return static_cast<std::uint16_t>(std::strtoul(name.c_str() + 5, nullptr, 10));
-  return 0;
+  constexpr std::string_view kPrefix = "kind_";
+  if (name.substr(0, kPrefix.size()) != kPrefix) return std::nullopt;
+  const char* const first = name.data() + kPrefix.size();
+  const char* const last = name.data() + name.size();
+  std::uint16_t value = 0;
+  const auto [ptr, ec] = std::from_chars(first, last, value, 10);
+  if (ec != std::errc{} || ptr != last) return std::nullopt;
+  return value;
 }
 
 }  // namespace
@@ -171,10 +79,10 @@ bool export_jsonl(const std::string& path, const Trace& trace) {
       << ",\"events\":" << trace.events.size()
       << ",\"dropped\":" << trace.dropped << "}\n";
   for (const auto& [name, value] : trace.counters)
-    out << "{\"type\":\"counter\",\"name\":\"" << json_escape(name)
+    out << "{\"type\":\"counter\",\"name\":\"" << Json::escape(name)
         << "\",\"value\":" << value << "}\n";
   for (const auto& hist : trace.histograms) {
-    out << "{\"type\":\"histogram\",\"name\":\"" << json_escape(hist.name)
+    out << "{\"type\":\"histogram\",\"name\":\"" << Json::escape(hist.name)
         << "\",\"count\":" << hist.count << ",\"sum\":" << hist.sum
         << ",\"buckets\":[";
     // Trailing zero buckets are elided; import zero-fills the remainder.
@@ -202,55 +110,70 @@ std::optional<Trace> import_jsonl(const std::string& path) {
   if (!in) return std::nullopt;
   Trace trace;
   bool saw_meta = false;
+  std::uint64_t events = 0;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
+    // Every line must be one complete object carrying every key the
+    // exporter writes: a truncated, out-of-range or trailing-garbage line
+    // fails the import instead of importing zeros or wrapped values.
+    const std::optional<Json> json = Json::parse(line);
     std::string type;
-    if (!find_string(line, "type", type)) return std::nullopt;
+    if (!json.has_value() || !read_string(*json, "type", type))
+      return std::nullopt;
     if (type == "meta") {
+      std::string format;
+      std::uint64_t version = 0;
+      if (saw_meta || !read_string(*json, "format", format) ||
+          format != "udwn-trace" || !read_uint(*json, "version", version) ||
+          version != 1 || !read_uint(*json, "events", events) ||
+          !read_uint(*json, "dropped", trace.dropped))
+        return std::nullopt;
       saw_meta = true;
-      find_u64(line, "dropped", trace.dropped);
     } else if (type == "counter") {
       std::string name;
       std::uint64_t value = 0;
-      if (!find_string(line, "name", name) || !find_u64(line, "value", value))
+      if (!read_string(*json, "name", name) ||
+          !read_uint(*json, "value", value))
         return std::nullopt;
       trace.counters.emplace_back(std::move(name), value);
     } else if (type == "histogram") {
       MetricsRegistry::HistogramView hist;
-      if (!find_string(line, "name", hist.name)) return std::nullopt;
-      find_u64(line, "count", hist.count);
-      find_u64(line, "sum", hist.sum);
-      const auto open = line.find("\"buckets\":[");
-      if (open == std::string::npos) return std::nullopt;
-      const char* p = line.c_str() + open + std::strlen("\"buckets\":[");
-      std::size_t b = 0;
-      while (*p != ']' && *p != '\0' && b < hist.buckets.size()) {
-        char* end = nullptr;
-        hist.buckets[b++] = std::strtoull(p, &end, 10);
-        if (end == p) break;
-        p = end;
-        if (*p == ',') ++p;
+      const Json* buckets = json->find("buckets");
+      if (!read_string(*json, "name", hist.name) ||
+          !read_uint(*json, "count", hist.count) ||
+          !read_uint(*json, "sum", hist.sum) || buckets == nullptr ||
+          !buckets->is_array() ||
+          buckets->items().size() > hist.buckets.size())
+        return std::nullopt;
+      // Trailing zero buckets were elided on export; the rest stay zero.
+      for (std::size_t b = 0; b < buckets->items().size(); ++b) {
+        const std::optional<std::uint64_t> count =
+            buckets->items()[b].as_uint64();
+        if (!count.has_value()) return std::nullopt;
+        hist.buckets[b] = *count;
       }
       trace.histograms.push_back(std::move(hist));
     } else if (type == "event") {
-      std::string kind;
-      if (!find_string(line, "kind", kind)) return std::nullopt;
+      std::string kind_name;
       TraceEvent ev;
-      ev.kind = event_kind_from_name(kind);
-      std::uint64_t tmp = 0;
-      if (find_u64(line, "round", tmp)) ev.round = static_cast<std::uint32_t>(tmp);
-      if (find_u64(line, "slot", tmp)) ev.slot = static_cast<std::uint8_t>(tmp);
-      if (find_u64(line, "ring", tmp)) ev.ring = static_cast<std::uint8_t>(tmp);
-      if (find_u64(line, "node", tmp)) ev.node = static_cast<std::uint32_t>(tmp);
-      if (find_u64(line, "aux", tmp)) ev.aux = static_cast<std::uint32_t>(tmp);
-      find_u64(line, "value", ev.value);
+      if (!read_string(*json, "kind", kind_name) ||
+          !read_uint(*json, "round", ev.round) ||
+          !read_uint(*json, "slot", ev.slot) ||
+          !read_uint(*json, "ring", ev.ring) ||
+          !read_uint(*json, "node", ev.node) ||
+          !read_uint(*json, "aux", ev.aux) ||
+          !read_uint(*json, "value", ev.value))
+        return std::nullopt;
+      const std::optional<std::uint16_t> kind = event_kind_from_name(kind_name);
+      if (!kind.has_value()) return std::nullopt;
+      ev.kind = *kind;
       trace.events.push_back(ev);
     } else {
       return std::nullopt;
     }
   }
-  if (!saw_meta) return std::nullopt;
+  if (!saw_meta || events != trace.events.size()) return std::nullopt;
   return trace;
 }
 

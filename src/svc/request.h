@@ -20,7 +20,7 @@
 #include <string>
 #include <string_view>
 
-#include "svc/json.h"
+#include "common/json.h"
 
 namespace udwn::svc {
 

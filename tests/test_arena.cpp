@@ -4,7 +4,7 @@
 // harmonic-revival schedule behaves, the TIntervalAdversary provably
 // maintains T-interval connectivity over every window while genuinely
 // rewiring, delta invalidation stays bit-exact under adversarial rewiring,
-// and the non-finite JSON emitter renders NaN/inf as null.
+// and the JSON encoder (common/json.h) renders NaN/inf as null.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,7 +18,7 @@
 #include "analysis/scenario.h"
 #include "baselines/jks_broadcast.h"
 #include "baselines/opportunistic.h"
-#include "bench/exp_common.h"
+#include "common/json.h"
 #include "metric/matrix_metric.h"
 #include "sim/dynamics.h"
 #include "tests/helpers.h"
@@ -305,15 +305,15 @@ TEST(TIntervalAdversaryTest, FrontierModeKeepsConnectivityToo) {
 }
 
 TEST(JsonNumber, NonFiniteBecomesNull) {
-  EXPECT_EQ(bench::json_number(std::numeric_limits<double>::quiet_NaN()),
+  EXPECT_EQ(Json::number(std::numeric_limits<double>::quiet_NaN()).dump(),
             "null");
-  EXPECT_EQ(bench::json_number(std::numeric_limits<double>::infinity()),
+  EXPECT_EQ(Json::number(std::numeric_limits<double>::infinity()).dump(),
             "null");
-  EXPECT_EQ(bench::json_number(-std::numeric_limits<double>::infinity()),
+  EXPECT_EQ(Json::number(-std::numeric_limits<double>::infinity()).dump(),
             "null");
-  EXPECT_EQ(bench::json_number(1.5), "1.5");
-  EXPECT_EQ(bench::json_number(-0.25), "-0.25");
-  EXPECT_EQ(bench::json_number(0.0), "0");
+  EXPECT_EQ(Json::number(1.5).dump(), "1.5");
+  EXPECT_EQ(Json::number(-0.25).dump(), "-0.25");
+  EXPECT_EQ(Json::number(0.0).dump(), "0");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -266,6 +267,96 @@ TEST(TraceExport, ImportRejectsMalformedUnicodeEscape) {
           "{\"type\":\"counter\",\"name\":\"bad\\u00zzname\",\"value\":1}\n";
   }
   EXPECT_FALSE(import_jsonl(path).has_value());
+}
+
+// ---- Strict JSONL import ----------------------------------------------------
+// Each line is parsed by the shared JSON codec (common/json.h) and must carry
+// every key the exporter writes, with integers in their field's range: a
+// damaged line fails the import instead of importing zeros or wrapped values.
+
+/// Writes `lines` after a meta line declaring `events` events; returns the
+/// file's path.
+std::string write_jsonl(const std::string& name, std::uint64_t events,
+                        const std::string& lines) {
+  const std::string path = ::testing::TempDir() + name;
+  std::ofstream os(path);
+  os << "{\"type\":\"meta\",\"format\":\"udwn-trace\",\"version\":1,"
+        "\"events\":"
+     << events << ",\"dropped\":0}\n"
+     << lines;
+  return path;
+}
+
+TEST(TraceImport, RejectsNegativeCounterValue) {
+  EXPECT_FALSE(import_jsonl(write_jsonl(
+                   "udwn_obs_negative.jsonl", 0,
+                   "{\"type\":\"counter\",\"name\":\"c\",\"value\":-1}\n"))
+                   .has_value());
+}
+
+TEST(TraceImport, RejectsEventTruncatedMidLine) {
+  EXPECT_FALSE(import_jsonl(write_jsonl("udwn_obs_cut_event.jsonl", 1,
+                                        "{\"type\":\"event\",\"kind\":"
+                                        "\"delivery\",\"round\":3,\"slot\":0"))
+                   .has_value());
+}
+
+TEST(TraceImport, RejectsTrailingGarbage) {
+  EXPECT_FALSE(
+      import_jsonl(
+          write_jsonl("udwn_obs_trailing.jsonl", 0,
+                      "{\"type\":\"counter\",\"name\":\"c\",\"value\":1}x\n"))
+          .has_value());
+}
+
+TEST(TraceImport, RejectsRoundBeyondUint32) {
+  const std::string event =
+      ",\"slot\":0,\"ring\":0,\"node\":1,\"aux\":2,\"value\":3}\n";
+  const std::string fits = "{\"type\":\"event\",\"kind\":\"delivery\","
+                           "\"round\":4294967295" + event;
+  const auto back = import_jsonl(write_jsonl("udwn_obs_round_max.jsonl", 1,
+                                             fits));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->events.at(0).round, 4294967295u);
+  const std::string wraps = "{\"type\":\"event\",\"kind\":\"delivery\","
+                            "\"round\":4294967303" + event;
+  EXPECT_FALSE(import_jsonl(write_jsonl("udwn_obs_round_wrap.jsonl", 1,
+                                        wraps))
+                   .has_value());
+}
+
+TEST(TraceImport, RejectsMoreHistogramBucketsThanTheRegistryHas) {
+  std::string buckets = "0";
+  for (std::size_t b = 1; b <= MetricsRegistry::kBuckets; ++b)
+    buckets += ",1";
+  EXPECT_FALSE(import_jsonl(write_jsonl("udwn_obs_buckets.jsonl", 0,
+                                        "{\"type\":\"histogram\",\"name\":"
+                                        "\"h\",\"count\":0,\"sum\":0,"
+                                        "\"buckets\":[" + buckets + "]}\n"))
+                   .has_value());
+}
+
+// A JSONL export cut anywhere inside a line never imports: every prefix that
+// does not end on a line boundary leaves a partial last line.
+TEST(TraceImport, RejectsEveryMidLineTruncationOfAnExport) {
+  const std::string path = ::testing::TempDir() + "udwn_obs_full.jsonl";
+  ASSERT_TRUE(export_jsonl(path, sample_trace()));
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_FALSE(text.empty());
+  const std::string cut_path = ::testing::TempDir() + "udwn_obs_cut.jsonl";
+  int cuts = 0;
+  for (std::size_t k = 1; k < text.size(); ++k) {
+    if (text[k] == '\n' || text[k - 1] == '\n') continue;
+    {
+      std::ofstream os(cut_path);
+      os << text.substr(0, k);
+    }
+    EXPECT_FALSE(import_jsonl(cut_path).has_value()) << "cut at byte " << k;
+    ++cuts;
+  }
+  EXPECT_GT(cuts, 500);
 }
 
 TEST(TraceExport, ChromeEventCountMatches) {

@@ -9,7 +9,7 @@
 #include <clocale>
 #include <string>
 
-#include "svc/json.h"
+#include "common/json.h"
 
 namespace udwn::svc {
 namespace {
@@ -146,7 +146,7 @@ TEST(SvcRequest, FullRunRequestRoundTrips) {
   EXPECT_EQ(run.topology.n, 30u);
   EXPECT_DOUBLE_EQ(run.dynamics.churn_rate, 0.05);
   EXPECT_EQ(run.trials, 12u);
-  // 64-bit seeds survive JSON exactly (integral re-parse in svc/json.cpp).
+  // 64-bit seeds survive JSON exactly (integral re-parse in common/json.cpp).
   EXPECT_EQ(run.seed, 18446744073709551615ull);
   EXPECT_EQ(run.max_rounds, 5000u);
   EXPECT_EQ(run.deadline_ms, 2000u);

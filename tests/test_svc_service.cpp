@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "svc/json.h"
+#include "common/json.h"
 #include "svc/request.h"
 
 namespace udwn::svc {

@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "svc/json.h"
+#include "common/json.h"
 #include "svc/request.h"
 #include "svc/service.h"
 

@@ -29,6 +29,7 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include <condition_variable>
@@ -39,6 +40,7 @@
 #include "analysis/scenario.h"
 #include "baselines/jks_broadcast.h"
 #include "baselines/opportunistic.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "core/broadcast.h"
 #include "metric/matrix_metric.h"
@@ -321,7 +323,11 @@ int run_svc_group(const Options& options) {
     service.submit(
         parsed,
         [&](const std::string& line) {
-          if (line.find("\"event\":\"trial\"") == std::string::npos) return;
+          const std::optional<Json> json = Json::parse(line);
+          const Json* event = json.has_value() ? json->find("event") : nullptr;
+          if (event == nullptr || !event->is_string() ||
+              event->as_string() != "trial")
+            return;
           std::lock_guard<std::mutex> lock(mutex);
           trial_lines.push_back(line);
         },

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "common/env.h"
-#include "svc/json.h"
+#include "common/json.h"
 
 namespace {
 
@@ -49,13 +49,13 @@ bool send_all(int fd, const std::string& data) {
 /// request. Anything else (accepted/progress/trial) is streaming noise.
 bool is_terminal_event(const std::string& line) {
   std::string error;
-  const auto json = udwn::svc::Json::parse(line, &error);
+  const auto json = udwn::Json::parse(line, &error);
   if (!json.has_value()) {
     std::fprintf(stderr, "udwn_request: invalid response JSON (%s): %s\n",
                  error.c_str(), line.c_str());
     std::exit(2);
   }
-  const udwn::svc::Json* event = json->find("event");
+  const udwn::Json* event = json->find("event");
   if (event == nullptr) return false;
   const std::string name = event->as_string();
   return name == "summary" || name == "rejected" || name == "status";
