@@ -108,8 +108,9 @@ BENCHMARK(BM_EngineRound)->Arg(128)->Arg(512)->Arg(2048);
 // Engine rounds under bounded mobility, delta vs epoch invalidation.
 // Args: {n, delta_invalidation}. A 1/32 fraction of the nodes drifts each
 // round — the paper's regime of rate-limited edge dynamics — so with delta
-// invalidation the per-round cache work scales with the movers and their
-// neighborhoods, while the epoch path re-derives grid, neighbor lists, and
+// invalidation the per-round cache work scales with the movers (one grid
+// move each, plus a grid query per neighbor list a transmitter reads),
+// while the epoch path rebuilds the grid and re-derives neighbor lists and
 // gain tiles for all n nodes after every round's version bump. Narrow gain
 // tiles (1024 columns) localize the column damage of each mover; the
 // delta/epoch ratio at the same n is the headline speedup of the
@@ -143,9 +144,10 @@ BENCHMARK(BM_EngineRoundMobility)
     ->Args({8192, 1});
 
 // Engine rounds under node churn: one departure and one re-placed arrival
-// per round. Args: {n, delta_invalidation}. The delta path invalidates the
-// toggled nodes' neighborhoods (two grid balls each) instead of all n
-// neighbor lists; the arrival's move is the only gain-column damage.
+// per round. Args: {n, delta_invalidation}. The delta path moves the
+// arrival in the grid instead of rebuilding it, and refills only the
+// neighbor lists the round's transmitters read (one grid query each); the
+// arrival's move is the only gain-column damage.
 void BM_EngineRoundChurn(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool delta = state.range(1) != 0;

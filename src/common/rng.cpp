@@ -13,10 +13,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t v, int k) {
-  return (v << k) | (v >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -25,23 +21,6 @@ Rng::Rng(std::uint64_t seed) {
   // xoshiro must not start from the all-zero state.
   if (state_[0] == 0 && state_[1] == 0 && state_[2] == 0 && state_[3] == 0)
     state_[0] = 1;
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0,1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -65,12 +44,6 @@ std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
       static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   const std::uint64_t offset = span == 0 ? next() : below(span);
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + offset);
-}
-
-bool Rng::chance(double p) {
-  if (p <= 0) return false;
-  if (p >= 1) return true;
-  return uniform() < p;
 }
 
 Rng Rng::split() {

@@ -107,6 +107,11 @@ class SlotWorkspace {
   /// Outcome of the most recent resolve_into through this workspace.
   [[nodiscard]] const SlotOutcome& outcome() const { return outcome_; }
   [[nodiscard]] const SlotWorkspaceConfig& config() const { return config_; }
+  /// Transmitter flags of the most recent resolve_into (indexed by node id,
+  /// 1 = transmitted); valid until the next resolve_into.
+  [[nodiscard]] std::span<const std::uint8_t> transmitting() const {
+    return is_tx_;
+  }
   /// Introspection for tests: the cache backing this workspace.
   [[nodiscard]] TopologyCache& cache() { return cache_; }
   /// The kernel pool (null when threads == 1); the engine reads its Stats

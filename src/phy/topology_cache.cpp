@@ -64,48 +64,31 @@ void TopologyCache::apply_delta(const TopologyDelta& delta) {
     gains_.apply_delta(delta.moved, delta.prev_metric_version,
                        delta.metric_version);
 
-  // Neighbor lists. A list of node u computed at prev_epoch is still exact
-  // at delta.epoch unless u's ball could have gained or lost a member:
-  // u is itself dirty, or u lies within the comm radius of a changed
-  // node's OLD or NEW position. Resolving "within" needs geometry — the
-  // grid over the old positions for the old balls, over the new for the
-  // new — so the Euclidean fast path below interleaves affected-marking
-  // with incremental grid moves. For non-Euclidean metrics the dirty-set
+  // Neighbor lists. On a Euclidean metric the delta only moves the grid:
+  // a list refills with one grid ball query on its next neighbors() read,
+  // and only transmitters read lists, a few per slot. Proving lists fresh
+  // would cost two ball queries per mover plus O(n) marking and restamping
+  // every round, more than the refills it saves, so every list stamped at
+  // prev_epoch simply goes stale.
+  if (euclid_ != nullptr) {
+    if (grid_stamp_ != delta.prev_metric_version + 1) return;
+    for (const NodeId v : delta.moved) grid_->move(v, euclid_->position(v));
+    grid_stamp_ = delta.metric_version + 1;
+    return;
+  }
+  // Without geometry a refill is an O(n) sweep, so freshening pays here.
+  // A list of node u computed at prev_epoch is still exact at delta.epoch
+  // unless u's ball could have gained or lost a member. The dirty-set
   // contract (dirty_log.h) guarantees both endpoints of every changed pair
   // are dirty, so the affected rows are exactly the dirty nodes; alive
   // toggles, however, perturb every row within unknown (metric) range of
   // the toggled node, which nothing can bound without geometry — then we
   // freshen nothing and let the epoch path refill lazily.
-  const double r = comm_radius_ * kGridInflation;
+  if (!delta.alive_toggled.empty()) return;
   std::fill(affected_.begin(), affected_.end(), 0);
-  const auto mark = [this](NodeId x) { affected_[x.value] = 1; };
-  if (euclid_ != nullptr) {
-    if (grid_stamp_ != delta.prev_metric_version + 1) return;
-    // The grid still holds pre-move positions: for each mover, mark its
-    // old ball, apply the move, then mark its new ball. Interleaving is
-    // sound: a concurrently-moved node found (or missed) by a ball query
-    // is itself in `moved`, hence marked unconditionally, while unmoved
-    // nodes sit at identical positions in both grids.
-    for (const NodeId v : delta.moved) {
-      UDWN_ASSERT(v.value < affected_.size());
-      const Vec2 to = euclid_->position(v);
-      grid_->for_each_within(grid_->point(v), r, mark);
-      grid_->move(v, to);
-      grid_->for_each_within(to, r, mark);
-      affected_[v.value] = 1;
-    }
-    grid_stamp_ = delta.metric_version + 1;
-    for (const NodeId t : delta.alive_toggled) {
-      UDWN_ASSERT(t.value < affected_.size());
-      grid_->for_each_within(euclid_->position(t), r, mark);
-      affected_[t.value] = 1;
-    }
-  } else {
-    if (!delta.alive_toggled.empty()) return;
-    for (const NodeId v : delta.moved) {
-      UDWN_ASSERT(v.value < affected_.size());
-      affected_[v.value] = 1;
-    }
+  for (const NodeId v : delta.moved) {
+    UDWN_ASSERT(v.value < affected_.size());
+    affected_[v.value] = 1;
   }
   // Everything fresh at prev_epoch and unaffected is fresh at delta.epoch.
   for (std::size_t u = 0; u < neighbor_stamp_.size(); ++u)

@@ -31,6 +31,8 @@
 // quasi-metric (MatrixMetric) may be asymmetric, so pruning with a grid
 // would be unsound there. Non-Euclidean metrics run the same cache without
 // a grid (brute-force neighbor sweeps, dirty-set-only delta freshening).
+// With a grid a stale neighbor list costs one ball query to refill, so a
+// Euclidean delta freshens no lists at all; apply_delta explains why.
 #pragma once
 
 #include <cstdint>
@@ -78,16 +80,20 @@ class TopologyCache {
 
   /// Delta invalidation (the fast path the epoch mechanism falls back
   /// from): given the per-round TopologyDelta connecting the epoch this
-  /// cache was last synced at to the current one, advance the freshness
-  /// stamps of everything provably untouched — neighbor lists of nodes
-  /// whose neighborhoods cannot contain a changed node, gain tiles whose
-  /// row and columns avoid all dirty ids — and incrementally move the
-  /// SpatialGrid instead of letting it rebuild. Purely a *freshening*
-  /// optimization: it never marks anything stale (staleness falls out of
-  /// the ordinary stamp comparisons), so skipping the call — coarse
-  /// deltas, epoch mismatch after missed rounds, pending rebind — degrades
-  /// to the bit-identical epoch path. Call between the round's topology
-  /// mutations and its first sync().
+  /// cache was last synced at to the current one, record the moved columns
+  /// in the gain table (only tiles that touch a mover get patched) and
+  /// carry what is cheaper to carry than to rebuild. On a Euclidean metric
+  /// that is the SpatialGrid, moved in O(|moved|) instead of rebuilt;
+  /// neighbor lists are left to go stale and refill on their next read
+  /// with one grid query, since only a slot's few transmitters read them.
+  /// On a non-Euclidean metric a refill is an O(n) sweep, so the lists of
+  /// nodes outside the dirty set are restamped fresh instead (not after
+  /// alive toggles, whose reach is unbounded without geometry). Purely a
+  /// *freshening* optimization: it never marks anything stale (staleness
+  /// falls out of the ordinary stamp comparisons), so skipping the call —
+  /// coarse deltas, epoch mismatch after missed rounds, pending rebind —
+  /// degrades to the bit-identical epoch path. Call between the round's
+  /// topology mutations and its first sync().
   UDWN_HOT void apply_delta(const TopologyDelta& delta);
 
   /// The tiled gain table bound to this topology, or nullptr when gain
@@ -126,7 +132,8 @@ class TopologyCache {
   // Per-node alive neighborhoods; stamp == epoch_ marks a fresh entry.
   std::vector<std::vector<NodeId>> neighbor_lists_;
   std::vector<std::uint64_t> neighbor_stamp_;
-  std::vector<std::uint8_t> affected_;  // apply_delta scratch, sized at sync
+  // apply_delta scratch for non-Euclidean metrics, sized at sync.
+  std::vector<std::uint8_t> affected_;
 
   // Tiled LRU gain table (freshness tracked internally per tile).
   GainTable gains_;

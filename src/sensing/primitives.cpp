@@ -58,20 +58,4 @@ CarrierSensing CarrierSensing::with_precisions(const ReceptionModel& model,
   return CarrierSensing(cfg);
 }
 
-bool CarrierSensing::busy(double interference) const {
-  // The radio reads RSSI = interference + noise and knows its own noise
-  // floor N, so the threshold applies to the excess above N. (App. B's ACK
-  // implementation makes the same implicit assumption: I_ack is far below
-  // N in the SINR parameterization.)
-  return interference >= config_.cd_threshold;
-}
-
-bool CarrierSensing::ack(double interference) const {
-  return interference <= config_.ack_threshold;
-}
-
-bool CarrierSensing::ntd(double sender_distance) const {
-  return sender_distance < config_.ntd_radius;
-}
-
 }  // namespace udwn

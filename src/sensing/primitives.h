@@ -52,16 +52,29 @@ class CarrierSensing {
                                         double eps_cd, double eps_ack,
                                         double ntd_radius);
 
+  // busy/ack/ntd are defined here: the engine evaluates them per node per
+  // slot, and the build has no LTO to inline them across files.
+
   /// CD outcome for a node whose sensed interference (sum of signals of all
   /// other concurrent transmitters) is `interference`.
-  [[nodiscard]] bool busy(double interference) const;
+  [[nodiscard]] bool busy(double interference) const {
+    // The radio reads RSSI = interference + noise and knows its own noise
+    // floor N, so the threshold applies to the excess above N. (App. B's
+    // ACK implementation makes the same implicit assumption: I_ack is far
+    // below N in the SINR parameterization.)
+    return interference >= config_.cd_threshold;
+  }
 
   /// ACK outcome for a transmitter sensing `interference` from others.
-  [[nodiscard]] bool ack(double interference) const;
+  [[nodiscard]] bool ack(double interference) const {
+    return interference <= config_.ack_threshold;
+  }
 
   /// NTD outcome for a receiver that decoded a sender at quasi-distance
   /// `sender_distance`.
-  [[nodiscard]] bool ntd(double sender_distance) const;
+  [[nodiscard]] bool ntd(double sender_distance) const {
+    return sender_distance < config_.ntd_radius;
+  }
 
   [[nodiscard]] const SensingConfig& config() const { return config_; }
 

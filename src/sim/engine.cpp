@@ -41,7 +41,6 @@ Engine::Engine(const Channel& channel, Network& network,
   const std::size_t n = network.size();
   transmitters_.reserve(n);
   tx_payload_.assign(n, 0);
-  is_tx_.assign(n, 0);
   node_rng_.reserve(n);
   clock_rate_.resize(n, 1.0);
   clock_progress_.resize(n, 0.0);
@@ -102,9 +101,11 @@ void Engine::step() {
   if (config_.delta_invalidation && config_.cache_topology)
     workspace_.cache().apply_delta(network_->collect_delta());
 
-  // Advance local clocks.
+  // Advance local clocks. The per-node sweeps read the alive mask directly:
+  // Network::alive is out of line, a call per node.
+  const std::span<const std::uint8_t> alive = network_->alive_mask();
   for (std::size_t v = 0; v < n; ++v) {
-    if (!network_->alive(NodeId(static_cast<std::uint32_t>(v)))) {
+    if (!alive[v]) {
       fired_[v] = 0;
       continue;
     }
@@ -205,14 +206,16 @@ void Engine::publish_round_obs(std::uint64_t transitions,
 
 void Engine::run_slot(Slot slot) {
   const std::size_t n = network_->size();
+  const std::span<const std::uint8_t> alive = network_->alive_mask();
 
   transmitters_.clear();
   // Payloads are captured at transmission time: feedback delivery below may
-  // mutate protocol state before all receivers have been served.
-  tx_payload_.assign(n, 0);
+  // mutate protocol state before all receivers have been served. Only this
+  // slot's transmitters are written, and only a decoded sender — one of
+  // them — is read, so stale entries of earlier slots are never seen.
   for (std::size_t v = 0; v < n; ++v) {
     const NodeId id(static_cast<std::uint32_t>(v));
-    if (!network_->alive(id)) {
+    if (!alive[v]) {
       if (slot == Slot::Data) last_probability_[v] = 0;
       continue;
     }
@@ -236,12 +239,9 @@ void Engine::run_slot(Slot slot) {
     workspace_.set_obs_slot(static_cast<std::uint32_t>(round_),
                             static_cast<std::uint8_t>(slot));
   const SlotOutcome& outcome =
-      channel_->resolve_into(transmitters_, network_->alive_mask(),
-                             power_scale, network_->topology_epoch(),
-                             workspace_);
-
-  is_tx_.assign(n, 0);
-  for (NodeId u : outcome.transmitters) is_tx_[u.value] = 1;
+      channel_->resolve_into(transmitters_, alive, power_scale,
+                             network_->topology_epoch(), workspace_);
+  const std::span<const std::uint8_t> is_tx = workspace_.transmitting();
 
   const QuasiMetric& metric = channel_->metric();
   const bool count_obs = config_.obs != nullptr;
@@ -254,11 +254,11 @@ void Engine::run_slot(Slot slot) {
   std::uint64_t collisions = 0;
   for (std::size_t v = 0; v < n; ++v) {
     const NodeId id(static_cast<std::uint32_t>(v));
-    if (!network_->alive(id)) continue;
+    if (!alive[v]) continue;
     SlotFeedback fb;
     fb.slot = slot;
     fb.local_round = fired_[v] != 0;
-    const bool transmitted = is_tx_[v] != 0;
+    const bool transmitted = is_tx[v] != 0;
     fb.transmitted = transmitted;
     fb.busy = sensing_->busy(outcome.interference[v]);
     fb.ack = transmitted && sensing_->ack(outcome.interference[v]);

@@ -160,7 +160,6 @@ class Engine {
   SlotWorkspace workspace_;
   std::vector<NodeId> transmitters_;
   std::vector<std::uint32_t> tx_payload_;
-  std::vector<std::uint8_t> is_tx_;
 
   // Observability (all dormant when config_.obs == nullptr). Trace events
   // are emitted only from this (the engine) thread, so the event stream is

@@ -7,13 +7,17 @@
 // hangs on — cached slot resolution staying bit-identical to the brute-force
 // reference while deltas are applied every round. The engine-level test
 // closes the loop: delta, epoch, and uncached pipelines hash to the same
-// trace under churn + mobility, serial and threaded.
+// trace under churn + mobility, serial and threaded. Cached neighbor lists
+// are checked against brute force after every delta, on a Euclidean and a
+// matrix metric (the two apply_delta branches).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "analysis/determinism.h"
@@ -474,6 +478,83 @@ TEST(DeltaInvalidation, CachedResolveMatchesBruteForceAcrossDeltaRounds) {
   // The fast path must have engaged, not silently degraded to epoch-only.
   ASSERT_NE(ws.cache().gains(), nullptr);
   EXPECT_GT(ws.cache().gains()->stats().freshened, 0u);
+}
+
+// Drives `mutate` through collect_delta → apply_delta every round, then
+// reads every cached neighbor list and compares it with the brute-force
+// Channel::neighbors. Reading all lists leaves each one fresh before the
+// next delta, so a list wrongly carried across a change cannot hide behind
+// one that happened to be stale already.
+void expect_cached_neighbors_match(
+    Scenario& scenario, const std::function<void(Rng&, int round)>& mutate) {
+  const Channel& channel = scenario.channel();
+  Network& network = scenario.network();
+  network.set_track_changes(true);
+  SlotWorkspace ws;
+  const std::vector<NodeId> silent;
+  Rng rng(17);
+  for (int round = 0; round < 30; ++round) {
+    SCOPED_TRACE(round);
+    if (round > 0) {
+      mutate(rng, round);
+      ws.cache().apply_delta(network.collect_delta());
+    }
+    // resolve_into syncs the cache to the round's epoch.
+    (void)channel.resolve_into(silent, network.alive_mask(), 1.0,
+                               network.topology_epoch(), ws);
+    for (std::uint32_t u = 0; u < network.size(); ++u) {
+      const std::span<const NodeId> got = ws.cache().neighbors(NodeId(u));
+      ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()),
+                channel.neighbors(NodeId(u), network.alive_mask()))
+          << "node " << u;
+    }
+  }
+}
+
+TEST(DeltaInvalidation, CachedNeighborsMatchBruteForceAcrossDeltaRounds) {
+  {
+    SCOPED_TRACE("euclidean");
+    Scenario scenario(test::random_points(60, 4.0, 8102),
+                      test::default_config());
+    EuclideanMetric& metric = *scenario.euclidean();
+    Network& network = scenario.network();
+    expect_cached_neighbors_match(scenario, [&](Rng& rng, int round) {
+      metric.begin_update();
+      for (int k = 0; k < 3; ++k) {
+        const NodeId v(static_cast<std::uint32_t>(rng.below(60)));
+        const Vec2 p = metric.position(v);
+        metric.set_position(v, {p.x + rng.uniform(-0.3, 0.3),
+                                p.y + rng.uniform(-0.3, 0.3)});
+      }
+      metric.end_update();
+      if (round % 2 == 1) {
+        const NodeId t(static_cast<std::uint32_t>(rng.below(60)));
+        network.set_alive(t, !network.alive(t));
+      }
+    });
+  }
+  {
+    // Non-Euclidean: apply_delta restamps the lists outside the dirty set
+    // (and freshens nothing in rounds with alive toggles).
+    SCOPED_TRACE("matrix");
+    Rng build(8103);
+    Scenario scenario(std::make_unique<MatrixMetric>(
+                          MatrixMetric::random(40, 0.3, 2.0, 0.4, build)),
+                      test::default_config());
+    auto& metric = static_cast<MatrixMetric&>(scenario.metric());
+    Network& network = scenario.network();
+    expect_cached_neighbors_match(scenario, [&](Rng& rng, int round) {
+      for (int k = 0; k < 2; ++k) {
+        const NodeId u(static_cast<std::uint32_t>(rng.below(40)));
+        const NodeId v(static_cast<std::uint32_t>(rng.below(40)));
+        if (u != v) metric.set_distance(u, v, rng.uniform(0.3, 1.2));
+      }
+      if (round % 3 == 0) {
+        const NodeId t(static_cast<std::uint32_t>(rng.below(40)));
+        network.set_alive(t, !network.alive(t));
+      }
+    });
+  }
 }
 
 std::vector<std::uint64_t> run_engine_trace(bool cache, bool delta,
