@@ -43,14 +43,14 @@ void BM_InterferenceField(benchmark::State& state) {
 }
 BENCHMARK(BM_InterferenceField)->Arg(128)->Arg(512)->Arg(2048);
 
-// Production slot pipeline: epoch-cached topology, grid pruning, reusable
+// Production slot pipeline: cached topology, grid pruning, reusable
 // workspace. This is what Engine::run_slot executes.
 void BM_ChannelResolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
   Scenario s(uniform_square(n, std::sqrt(n / 8.0), rng), ScenarioConfig{});
   const auto txs = sample_transmitters(n, 0.05, rng);
-  SlotWorkspace ws({.cache_topology = true});
+  SlotWorkspace ws;
   for (auto _ : state) {
     const SlotOutcome& outcome = s.channel().resolve_into(
         txs, s.network().alive_mask(), 1.0, s.network().topology_epoch(), ws);
@@ -80,8 +80,7 @@ void BM_ChannelResolveThreads(benchmark::State& state) {
   Rng rng(2);
   Scenario s(uniform_square(n, std::sqrt(n / 8.0), rng), ScenarioConfig{});
   const auto txs = sample_transmitters(n, 0.05, rng);
-  SlotWorkspace ws({.cache_topology = true,
-                    .threads = static_cast<int>(state.range(1))});
+  SlotWorkspace ws({.threads = static_cast<int>(state.range(1))});
   for (auto _ : state) {
     const SlotOutcome& outcome = s.channel().resolve_into(
         txs, s.network().alive_mask(), 1.0, s.network().topology_epoch(), ws);
@@ -90,91 +89,67 @@ void BM_ChannelResolveThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelResolveThreads)->Args({2048, 2})->Args({2048, 4});
 
-void BM_EngineRound(benchmark::State& state) {
+// Steady-state TryAdjust engine rounds at n = state.range(0) nodes uniform
+// on a square of density 8 (scenario seed = config.seed), timed after
+// `warmup` rounds, under the dynamics `make(scenario, extent)` returns
+// (null = static).
+template <class MakeDynamics>
+void engine_rounds(benchmark::State& state, EngineConfig config, int warmup,
+                   MakeDynamics make) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  Scenario s(uniform_square(n, std::sqrt(n / 8.0), rng), ScenarioConfig{});
+  const double extent = std::sqrt(n / 8.0);
+  Rng rng(config.seed);
+  Scenario s(uniform_square(n, extent, rng), ScenarioConfig{});
   auto protos = make_protocols(n, [&](NodeId) {
     return std::make_unique<TryAdjustProtocol>(TryAdjust::standard(n, 1.0));
   });
   const CarrierSensing cs = s.sensing_local();
-  Engine engine(s.channel(), s.network(), cs, protos, EngineConfig{.seed = 3});
-  for (int i = 0; i < 100; ++i) engine.step();  // reach steady state
+  Engine engine(s.channel(), s.network(), cs, protos, config);
+  const std::unique_ptr<Dynamics> dynamics = make(s, extent);
+  engine.set_dynamics(dynamics.get());
+  for (int i = 0; i < warmup; ++i) engine.step();  // reach steady state
   for (auto _ : state) engine.step();
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+
+std::unique_ptr<Dynamics> static_topology(Scenario&, double) { return {}; }
+
+void BM_EngineRound(benchmark::State& state) {
+  engine_rounds(state, {.seed = 3}, 100, static_topology);
 }
 BENCHMARK(BM_EngineRound)->Arg(128)->Arg(512)->Arg(2048);
 
-// Engine rounds under bounded mobility, delta vs epoch invalidation.
-// Args: {n, delta_invalidation}. A 1/32 fraction of the nodes drifts each
-// round — the paper's regime of rate-limited edge dynamics — so with delta
-// invalidation the per-round cache work scales with the movers (one grid
-// move each, plus a grid query per neighbor list a transmitter reads),
-// while the epoch path rebuilds the grid and re-derives neighbor lists and
-// gain tiles for all n nodes after every round's version bump. Narrow gain
-// tiles (1024 columns) localize the column damage of each mover; the
-// delta/epoch ratio at the same n is the headline speedup of the
-// delta-invalidation refactor (recorded in BENCH_micro_deltas.json).
+// Bounded mobility: a 1/32 fraction of the nodes drifts each round — the
+// paper's regime of rate-limited edge dynamics — so the per-round cache
+// work scales with the movers (one grid move each, plus a grid query per
+// neighbor list a transmitter reads). Narrow gain tiles (1024 columns)
+// localize the column damage of each mover.
 void BM_EngineRoundMobility(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const bool delta = state.range(1) != 0;
-  const double extent = std::sqrt(n / 8.0);
-  Rng rng(5);
-  Scenario s(uniform_square(n, extent, rng), ScenarioConfig{});
-  auto protos = make_protocols(n, [&](NodeId) {
-    return std::make_unique<TryAdjustProtocol>(TryAdjust::standard(n, 1.0));
-  });
-  const CarrierSensing cs = s.sensing_local();
-  Engine engine(s.channel(), s.network(), cs, protos,
-                EngineConfig{.seed = 5,
-                             .delta_invalidation = delta,
-                             .gain_tile_cols = 1024});
-  WaypointMobility mobility(*s.euclidean(), {.speed = 0.01,
-                                             .extent = extent,
-                                             .mobile_fraction = 1.0 / 32.0});
-  engine.set_dynamics(&mobility);
-  for (int i = 0; i < 50; ++i) engine.step();  // reach steady state
-  for (auto _ : state) engine.step();
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  engine_rounds(state, {.seed = 5, .gain_tile_cols = 1024}, 50,
+                [](Scenario& s, double extent) {
+                  return std::make_unique<WaypointMobility>(
+                      *s.euclidean(),
+                      WaypointMobility::Config{.speed = 0.01,
+                                               .extent = extent,
+                                               .mobile_fraction = 1.0 / 32.0});
+                });
 }
-BENCHMARK(BM_EngineRoundMobility)
-    ->Args({2048, 0})
-    ->Args({2048, 1})
-    ->Args({8192, 0})
-    ->Args({8192, 1});
+BENCHMARK(BM_EngineRoundMobility)->Arg(2048)->Arg(8192);
 
-// Engine rounds under node churn: one departure and one re-placed arrival
-// per round. Args: {n, delta_invalidation}. The delta path moves the
-// arrival in the grid instead of rebuilding it, and refills only the
-// neighbor lists the round's transmitters read (one grid query each); the
-// arrival's move is the only gain-column damage.
+// Node churn: one departure and one re-placed arrival per round. The delta
+// path moves the arrival in the grid instead of rebuilding it, and refills
+// only the neighbor lists the round's transmitters read (one grid query
+// each); the arrival's move is the only gain-column damage.
 void BM_EngineRoundChurn(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const bool delta = state.range(1) != 0;
-  const double extent = std::sqrt(n / 8.0);
-  Rng rng(6);
-  Scenario s(uniform_square(n, extent, rng), ScenarioConfig{});
-  auto protos = make_protocols(n, [&](NodeId) {
-    return std::make_unique<TryAdjustProtocol>(TryAdjust::standard(n, 1.0));
-  });
-  const CarrierSensing cs = s.sensing_local();
-  Engine engine(s.channel(), s.network(), cs, protos,
-                EngineConfig{.seed = 6,
-                             .delta_invalidation = delta,
-                             .gain_tile_cols = 1024});
-  ChurnDynamics churn({.arrival_rate = 1.0,
-                       .departure_rate = 1.0,
-                       .placement_extent = extent});
-  engine.set_dynamics(&churn);
-  for (int i = 0; i < 50; ++i) engine.step();  // reach steady state
-  for (auto _ : state) engine.step();
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  engine_rounds(state, {.seed = 6, .gain_tile_cols = 1024}, 50,
+                [](Scenario&, double extent) {
+                  return std::make_unique<ChurnDynamics>(
+                      ChurnDynamics::Config{.arrival_rate = 1.0,
+                                            .departure_rate = 1.0,
+                                            .placement_extent = extent});
+                });
 }
-BENCHMARK(BM_EngineRoundChurn)
-    ->Args({2048, 0})
-    ->Args({2048, 1})
-    ->Args({8192, 0})
-    ->Args({8192, 1});
+BENCHMARK(BM_EngineRoundChurn)->Arg(2048)->Arg(8192);
 
 // Same workload with a live Obs handle: counters, histograms, and trace
 // events all on. The ratio against BM_EngineRound at the same n is the
@@ -183,19 +158,8 @@ BENCHMARK(BM_EngineRoundChurn)
 // The handle is per-iteration-set, not per-iteration: counters accumulate
 // across steps exactly as in a real observed run.
 void BM_EngineRoundObs(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  Scenario s(uniform_square(n, std::sqrt(n / 8.0), rng), ScenarioConfig{});
-  auto protos = make_protocols(n, [&](NodeId) {
-    return std::make_unique<TryAdjustProtocol>(TryAdjust::standard(n, 1.0));
-  });
-  const CarrierSensing cs = s.sensing_local();
   Obs obs;
-  Engine engine(s.channel(), s.network(), cs, protos,
-                EngineConfig{.seed = 3, .obs = &obs});
-  for (int i = 0; i < 100; ++i) engine.step();  // reach steady state
-  for (auto _ : state) engine.step();
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  engine_rounds(state, {.seed = 3, .obs = &obs}, 100, static_topology);
 }
 BENCHMARK(BM_EngineRoundObs)->Arg(128)->Arg(512)->Arg(2048);
 
@@ -204,19 +168,8 @@ BENCHMARK(BM_EngineRoundObs)->Arg(128)->Arg(512)->Arg(2048);
 // slot pipeline that is sublinear in quiet regions, so its relative cost
 // grows with n by design (see ObsConfig::state_transitions).
 void BM_EngineRoundObsStates(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  Scenario s(uniform_square(n, std::sqrt(n / 8.0), rng), ScenarioConfig{});
-  auto protos = make_protocols(n, [&](NodeId) {
-    return std::make_unique<TryAdjustProtocol>(TryAdjust::standard(n, 1.0));
-  });
-  const CarrierSensing cs = s.sensing_local();
   Obs obs(ObsConfig{.state_transitions = true});
-  Engine engine(s.channel(), s.network(), cs, protos,
-                EngineConfig{.seed = 3, .obs = &obs});
-  for (int i = 0; i < 100; ++i) engine.step();  // reach steady state
-  for (auto _ : state) engine.step();
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  engine_rounds(state, {.seed = 3, .obs = &obs}, 100, static_topology);
 }
 BENCHMARK(BM_EngineRoundObsStates)->Arg(128)->Arg(512)->Arg(2048);
 

@@ -1,6 +1,7 @@
 #include "analysis/determinism.h"
 
 #include <bit>
+#include <cstring>
 
 #include "common/contract.h"
 #include "sim/network.h"
@@ -19,7 +20,63 @@ std::uint64_t fnv_step(std::uint64_t hash, std::uint64_t x) {
   return hash;
 }
 
+template <class T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
 }  // namespace
+
+const char* to_string(OutcomeField field) {
+  constexpr const char* kNames[] = {"none",         "transmitters",
+                                    "interference", "decoded_from",
+                                    "mass_delivered", "clear"};
+  return kNames[static_cast<std::size_t>(field)];
+}
+
+OutcomeField compare_outcomes(const SlotOutcome& want, const SlotOutcome& got) {
+  if (!same_bytes(want.transmitters, got.transmitters))
+    return OutcomeField::kTransmitters;
+  if (!same_bytes(want.interference, got.interference))
+    return OutcomeField::kInterference;
+  if (!same_bytes(want.decoded_from, got.decoded_from))
+    return OutcomeField::kDecodedFrom;
+  if (!same_bytes(want.mass_delivered, got.mass_delivered))
+    return OutcomeField::kMassDelivered;
+  if (!same_bytes(want.clear, got.clear)) return OutcomeField::kClear;
+  return OutcomeField::kNone;
+}
+
+void ReferenceCheck::on_slot(Round round, Slot slot,
+                             const SlotOutcome& outcome,
+                             const Engine& engine) {
+  const double scale = slot == Slot::Notify ? notify_power_scale_ : 1.0;
+  const OutcomeField field = compare_outcomes(
+      engine.channel().resolve(outcome.transmitters,
+                               engine.network().alive_mask(), scale),
+      outcome);
+  ++slots_;
+  if (field != OutcomeField::kNone) {
+    ++mismatches_;
+    if (!first_.has_value()) first_ = Mismatch{round, slot, field};
+  }
+  if (inner_ != nullptr) inner_->on_slot(round, slot, outcome, engine);
+}
+
+std::string to_string(const ReferenceCheck& check) {
+  std::string line = "reference check: " +
+                     std::to_string(check.slots_checked()) +
+                     " slots vs Channel::resolve(), " +
+                     std::to_string(check.mismatches()) + " mismatches";
+  if (const auto& first = check.first_mismatch()) {
+    line += "; first at round " + std::to_string(first->round) + " slot " +
+            std::to_string(static_cast<int>(first->slot)) + " in " +
+            to_string(first->field);
+  }
+  return line;
+}
 
 void TraceHashRecorder::mix_u64(std::uint64_t x) { hash_ = fnv_step(hash_, x); }
 

@@ -8,10 +8,16 @@
 // The auditor executes the same scenario closure twice, folds the full
 // ground-truth event trace into a chained per-round hash, and reports the
 // first round at which the two executions diverge.
+//
+// Self-consistency is not correctness: two runs (or two pipeline
+// configurations) can agree and both be wrong. ReferenceCheck closes that
+// gap by checking every slot of a run against Channel::resolve(), the one
+// exact specification of a slot.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,6 +52,63 @@ class TraceHashRecorder final : public Recorder {
   std::uint64_t hash_ = 14695981039346656037ull;  // FNV-1a offset basis
   std::vector<std::uint64_t> round_hashes_;
 };
+
+/// The fields of a SlotOutcome, in declaration order; kNone = no field.
+enum class OutcomeField : std::uint8_t {
+  kNone, kTransmitters, kInterference, kDecodedFrom, kMassDelivered, kClear
+};
+
+[[nodiscard]] const char* to_string(OutcomeField field);
+
+/// First field, in declaration order, in which `got` is not bit-for-bit
+/// equal to `want` (kNone when identical). Every field is compared by its
+/// bytes, so an interference -0.0 vs +0.0 or a NaN payload differs.
+[[nodiscard]] OutcomeField compare_outcomes(const SlotOutcome& want,
+                                            const SlotOutcome& got);
+
+/// Recorder checking every slot of an exact engine run against
+/// Channel::resolve(): it re-resolves the slot's transmitters on the
+/// current alive mask (at the Notify power scale on Notify slots) and
+/// compares with compare_outcomes. Every call is forwarded to an optional
+/// inner recorder, so one run yields both a trace hash and the check. Far-
+/// field runs are ε-certified against resolve(), not equal, so not checked.
+class ReferenceCheck final : public Recorder {
+ public:
+  struct Mismatch {
+    Round round;
+    Slot slot;
+    OutcomeField field;
+  };
+
+  /// `notify_power_scale` must be the engine's; `inner` may be null.
+  explicit ReferenceCheck(double notify_power_scale = 1.0,
+                          Recorder* inner = nullptr)
+      : notify_power_scale_(notify_power_scale), inner_(inner) {}
+
+  void on_slot(Round round, Slot slot, const SlotOutcome& outcome,
+               const Engine& engine) override;
+  void on_round_end(Round round, const Engine& engine) override {
+    if (inner_ != nullptr) inner_->on_round_end(round, engine);
+  }
+
+  [[nodiscard]] std::uint64_t slots_checked() const { return slots_; }
+  [[nodiscard]] std::uint64_t mismatches() const { return mismatches_; }
+  [[nodiscard]] const std::optional<Mismatch>& first_mismatch() const {
+    return first_;
+  }
+  /// At least one slot checked and none mismatched.
+  [[nodiscard]] bool passed() const { return slots_ > 0 && mismatches_ == 0; }
+
+ private:
+  double notify_power_scale_;
+  Recorder* inner_;
+  std::uint64_t slots_ = 0;
+  std::uint64_t mismatches_ = 0;
+  std::optional<Mismatch> first_;
+};
+
+/// One line: slots checked, mismatches, the first mismatching slot/field.
+std::string to_string(const ReferenceCheck& check);
 
 struct DeterminismReport {
   bool deterministic = false;

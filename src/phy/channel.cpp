@@ -337,10 +337,9 @@ const SlotOutcome& Channel::resolve_into(
                            // callers pass literal 1.0 for "no power control"
   const PathLoss& pl = unscaled ? *pathloss_ : scaled;
 
-  TopologyCache* cache = ws.config_.cache_topology ? &ws.cache_ : nullptr;
-  if (cache != nullptr)
-    cache->sync(*metric_, *pathloss_, comm_radius_, max_range_, alive,
-                topology_epoch);
+  TopologyCache& cache = ws.cache_;
+  cache.sync(*metric_, *pathloss_, comm_radius_, max_range_, alive,
+             topology_epoch);
   TaskPool* pool = ws.pool_.get();
 
   SlotOutcome& out = ws.outcome_;
@@ -368,7 +367,7 @@ const SlotOutcome& Channel::resolve_into(
   // transmitter order, so the result is bit-identical to the serial
   // brute-force kernel regardless of chunk count or kernel choice (chunks
   // partition listeners, never the transmitter sum).
-  GainTable* gains = cache != nullptr ? cache->gains() : nullptr;
+  GainTable* gains = cache.gains();
   bool rows = false;
   bool field_done = false;
 
@@ -380,12 +379,11 @@ const SlotOutcome& Channel::resolve_into(
   // gain table is bypassed on this path — the whole point is never touching
   // O(n·|S|) pairs — so decode reads signals per pair (bit-identical to the
   // table's entries either way).
-  if (ws.config_.far_field_eps > 0 && cache != nullptr &&
-      cache->euclidean() != nullptr) {
+  if (ws.config_.far_field_eps > 0 && cache.euclidean() != nullptr) {
     if (const std::optional<FarFieldParams> params = far_field_params(
             ws.config_.far_field_eps,
             ws.config_.far_field_cell_factor * max_range_, pl)) {
-      field_done = ws.far_field_.field_into(*cache->euclidean(), pl,
+      field_done = ws.far_field_.field_into(*cache.euclidean(), pl,
                                             transmitters, *params,
                                             out.interference, pool);
     }
@@ -425,7 +423,7 @@ const SlotOutcome& Channel::resolve_into(
                       .transmitting = ws.is_tx_,
                       .interference = out.interference};
 
-  const SpatialGrid* grid = cache != nullptr ? cache->grid() : nullptr;
+  const SpatialGrid* grid = cache.grid();
   const GainTable* decode_gains = rows ? gains : nullptr;
   const double decode_radius =
       unscaled ? decode_range_unscaled_ : model_->decode_range(pl);
@@ -446,22 +444,8 @@ const SlotOutcome& Channel::resolve_into(
   const SuccClearParams params = succ_clear_;
   const double guard = params.rho_c * max_range_;
   for (NodeId u : transmitters) {
-    std::span<const NodeId> nb;
-    if (cache != nullptr) {
-      nb = cache->neighbors(u);
-    } else {
-      ws.scratch_neighbors_.clear();
-      const double rb = comm_radius();
-      for (std::size_t v = 0; v < n; ++v) {
-        const NodeId id(static_cast<std::uint32_t>(v));
-        if (id == u || !alive[v]) continue;
-        if (metric_->distance(u, id) <= rb)
-          ws.scratch_neighbors_.push_back(id);
-      }
-      nb = ws.scratch_neighbors_;
-    }
     bool all = true;
-    for (NodeId v : nb) {
+    for (NodeId v : cache.neighbors(u)) {
       if (out.decoded_from[v.value] != u) {
         all = false;
         break;
@@ -477,7 +461,7 @@ const SlotOutcome& Channel::resolve_into(
       // (inflated) ball are provably outside the guard zone.
       clear = true;
       grid->for_each_within(
-          ws.cache_.euclidean()->position(u),
+          cache.euclidean()->position(u),
           guard * kGridInflation, [&](NodeId w) {
             if (w == u || !ws.is_tx_[w.value]) return;
             if (metric_->distance(w, u) < guard) clear = false;

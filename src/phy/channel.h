@@ -6,18 +6,21 @@
 // used by tests and the oracle primitives.
 //
 // Two entry points resolve a slot:
-//   * resolve()      — the allocation-per-call brute-force reference. Every
-//                      decision is derived from scratch; property tests and
-//                      the determinism audit treat it as the specification.
+//   * resolve()      — the allocation-per-call brute-force reference and the
+//                      one exact specification of a slot. Every decision is
+//                      derived from scratch; property tests, the engine-level
+//                      ReferenceCheck (analysis/determinism.h) and the
+//                      determinism audit compare every slot against it.
 //   * resolve_into() — the production pipeline: reuses a caller-owned
 //                      SlotWorkspace (no steady-state allocation), serves
 //                      neighborhoods and pairwise gains from an epoch-
-//                      invalidated TopologyCache, prunes decode/clear
+//                      invalidated TopologyCache (which the engine also
+//                      freshens with per-round deltas), prunes decode/clear
 //                      candidates with a SpatialGrid on Euclidean
 //                      instances, and can run the interference kernel on a
-//                      deterministic TaskPool. Its SlotOutcome is
-//                      bit-for-bit identical to resolve()'s for every
-//                      configuration — see docs/ENGINE.md.
+//                      deterministic TaskPool. With far_field_eps == 0 its
+//                      SlotOutcome is bit-for-bit identical to resolve()'s
+//                      for every configuration — see docs/ENGINE.md.
 #pragma once
 
 #include <memory>
@@ -56,11 +59,6 @@ struct SlotOutcome {
 };
 
 struct SlotWorkspaceConfig {
-  /// Serve neighborhoods and gain rows from the epoch-invalidated
-  /// TopologyCache instead of re-deriving them per slot. On a Euclidean
-  /// metric the cache also attaches a SpatialGrid that prunes decode/clear
-  /// candidates (never on asymmetric/graph metrics, where it is unsound).
-  bool cache_topology = true;
   /// Memory budget for the tiled LRU gain table (see gain_table.h);
   /// 0 disables gain caching. Any instance size is cached within budget —
   /// this replaces the old hard gain_cache_max_nodes = 4096 cliff.
@@ -71,8 +69,8 @@ struct SlotWorkspaceConfig {
   /// Certified far-field approximation (see far_field.h): aggregate
   /// transmitters beyond a derived separation radius per spatial cell, with
   /// worst-case relative field error <= far_field_eps. 0 (default) = exact.
-  /// Requires cache_topology and a Euclidean metric; non-Euclidean or
-  /// infeasible parameter combinations fall back to the exact kernels.
+  /// Requires a Euclidean metric; non-Euclidean metrics or infeasible
+  /// parameter combinations fall back to the exact kernels.
   /// Approximate paths are self-deterministic across thread counts but NOT
   /// bit-identical to the exact reference — only ε-certified against it.
   double far_field_eps = 0.0;
@@ -104,8 +102,6 @@ class SlotWorkspace {
   SlotWorkspace(const SlotWorkspace&) = delete;
   SlotWorkspace& operator=(const SlotWorkspace&) = delete;
 
-  /// Outcome of the most recent resolve_into through this workspace.
-  [[nodiscard]] const SlotOutcome& outcome() const { return outcome_; }
   [[nodiscard]] const SlotWorkspaceConfig& config() const { return config_; }
   /// Transmitter flags of the most recent resolve_into (indexed by node id,
   /// 1 = transmitted); valid until the next resolve_into.
@@ -132,7 +128,6 @@ class SlotWorkspace {
   SlotOutcome outcome_;
   std::vector<std::uint8_t> is_tx_;
   std::vector<double> best_signal_;
-  std::vector<NodeId> scratch_neighbors_;
   std::vector<const double*> row_scratch_;  // gain-table row pointers
   TopologyCache cache_;
   std::unique_ptr<TaskPool> pool_;  // created when threads > 1
@@ -161,7 +156,7 @@ class Channel {
   /// Resolve one slot through `workspace` (see class comment above).
   /// `topology_epoch` is Network::topology_epoch() — any monotonic counter
   /// that bumps whenever the alive mask or the metric changes. Transmitter
-  /// ids must be unique. Returns workspace.outcome(); the reference is
+  /// ids must be unique. Returns the workspace's outcome; the reference is
   /// valid until the next resolve_into on the same workspace.
   UDWN_HOT const SlotOutcome& resolve_into(
       std::span<const NodeId> transmitters, std::span<const std::uint8_t> alive,

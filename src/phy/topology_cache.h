@@ -19,7 +19,7 @@
 //
 // Everything is recomputed lazily on first use after an epoch bump, so a
 // mobility workload that moves every node each round pays no more than the
-// uncached sweep, while static/churn-only workloads amortize to O(1) per
+// brute-force sweep, while static/churn-only workloads amortize to O(1) per
 // query. Cached values are produced by the exact same expressions as the
 // brute-force paths (same doubles in, same libm calls), which is what makes
 // the cached pipeline bit-for-bit identical to Channel::resolve — the

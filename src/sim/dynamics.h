@@ -128,9 +128,9 @@ class WaypointMobility final : public Dynamics {
 /// The adversary drives a MatrixMetric (chain edges at `edge_length`, all
 /// other pairs at `far_length`, written symmetrically inside one
 /// begin_update()/end_update() span per round), so the DirtyLog delta path
-/// sees ordinary localized mutations and delta ≡ epoch invalidation holds
-/// under adversarial rewiring too. It is fully deterministic: `step` never
-/// draws from the Rng.
+/// sees ordinary localized mutations and every slot stays equal to
+/// Channel::resolve() under adversarial rewiring too. It is fully
+/// deterministic: `step` never draws from the Rng.
 class TIntervalAdversary final : public Dynamics {
  public:
   struct Config {

@@ -19,7 +19,6 @@ Engine::Engine(const Channel& channel, Network& network,
       config_(config),
       rng_(config.seed),
       workspace_(SlotWorkspaceConfig{
-          .cache_topology = config.cache_topology,
           .gain_budget_bytes = config.gain_budget_bytes,
           .gain_tile_cols = config.gain_tile_cols,
           .far_field_eps = config.far_field_eps,
@@ -32,11 +31,10 @@ Engine::Engine(const Channel& channel, Network& network,
   UDWN_EXPECT(config_.drift_bound >= 1);
   UDWN_EXPECT(config_.threads >= 1);
 
-  // Delta invalidation needs the network to accumulate per-round change
-  // sets; tracking is records-only (no rng, no trace effect), so arming it
-  // cannot perturb the simulation.
-  if (config_.delta_invalidation && config_.cache_topology)
-    network.set_track_changes(true);
+  // step() hands the caches a TopologyDelta every round, so the network
+  // must accumulate per-round change sets; tracking is records-only (no
+  // rng, no trace effect), so arming it cannot perturb the simulation.
+  network.set_track_changes(true);
 
   const std::size_t n = network.size();
   transmitters_.reserve(n);
@@ -98,8 +96,7 @@ void Engine::step() {
   // the previous round's stamps are still comparable (before any slot
   // syncs the new epoch). Quiet rounds produce an empty delta and the call
   // is a handful of compares — the static-scenario trace is untouched.
-  if (config_.delta_invalidation && config_.cache_topology)
-    workspace_.cache().apply_delta(network_->collect_delta());
+  workspace_.cache().apply_delta(network_->collect_delta());
 
   // Advance local clocks. The per-node sweeps read the alive mask directly:
   // Network::alive is out of line, a call per node.

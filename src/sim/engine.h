@@ -58,19 +58,6 @@ struct EngineConfig {
   /// gain table has at least one listener block per thread, each slot's
   /// field is sharded by block, fusing tile fills with accumulation.
   int threads = 1;
-  /// Serve neighborhoods/gains from the epoch-invalidated TopologyCache
-  /// (plus SpatialGrid candidate pruning on Euclidean instances).
-  /// Off = brute-force re-derivation per slot (same bits, slower).
-  bool cache_topology = true;
-  /// Per-node delta invalidation on top of cache_topology: each round the
-  /// engine folds the metric's DirtyLog and the alive churn into a
-  /// TopologyDelta and freshens everything the delta proves untouched
-  /// (TopologyCache::apply_delta), so invalidation work scales with the
-  /// number of changed nodes instead of n. Off = pure epoch invalidation,
-  /// the bit-exact reference path; both produce identical traces (audited —
-  /// the delta only ever re-certifies values the epoch path would have
-  /// recomputed to the same bits). No effect without cache_topology.
-  bool delta_invalidation = true;
   /// Certified far-field approximation: aggregate transmitters beyond a
   /// derived separation radius per spatial cell with worst-case relative
   /// field error <= far_field_eps (see far_field.h for the bound's

@@ -1,9 +1,15 @@
 // Shared fixtures and builders for the test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "analysis/determinism.h"
 #include "analysis/scenario.h"
 #include "common/rng.h"
 #include "metric/geometry.h"
@@ -27,6 +33,21 @@ inline std::vector<Vec2> random_points(std::size_t n, double extent,
   return uniform_square(n, extent, rng);
 }
 
+/// Alive nodes of `network`, each kept with probability p (ascending ids).
+inline std::vector<NodeId> sample_transmitters(const Network& network,
+                                               Rng& rng, double p) {
+  std::vector<NodeId> txs;
+  for (std::uint32_t v = 0; v < network.size(); ++v)
+    if (network.alive(NodeId(v)) && rng.chance(p)) txs.push_back(NodeId(v));
+  return txs;
+}
+
+inline std::vector<NodeId> ids(std::initializer_list<std::uint32_t> list) {
+  std::vector<NodeId> out;
+  for (auto id : list) out.push_back(NodeId(id));
+  return out;
+}
+
 /// Two nodes at the given separation, useful for single-link physics tests.
 inline std::vector<Vec2> pair_at(double separation) {
   return {{0, 0}, {separation, 0}};
@@ -47,6 +68,20 @@ inline const char* model_name(ModelKind kind) {
     case ModelKind::SuccClearOnly: return "SuccClearOnly";
   }
   return "?";
+}
+
+/// One slot of `txs` through `ws`: resolve_into must equal
+/// Channel::resolve() bit for bit (compare_outcomes); a failure names the
+/// first differing field.
+inline ::testing::AssertionResult resolves_exactly(
+    const Channel& channel, const Network& network,
+    std::span<const NodeId> txs, SlotWorkspace& ws, double scale = 1.0) {
+  const SlotOutcome want = channel.resolve(txs, network.alive_mask(), scale);
+  const OutcomeField field = compare_outcomes(
+      want, channel.resolve_into(txs, network.alive_mask(), scale,
+                                 network.topology_epoch(), ws));
+  if (field == OutcomeField::kNone) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << to_string(field) << " differs";
 }
 
 }  // namespace udwn::test

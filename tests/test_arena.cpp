@@ -3,8 +3,8 @@
 // engine seeds — it never draws from the Rng), the opportunistic protocol's
 // harmonic-revival schedule behaves, the TIntervalAdversary provably
 // maintains T-interval connectivity over every window while genuinely
-// rewiring, delta invalidation stays bit-exact under adversarial rewiring,
-// and the JSON encoder (common/json.h) renders NaN/inf as null.
+// rewiring, every slot stays equal to Channel::resolve() under adversarial
+// rewiring, and the JSON encoder (common/json.h) renders NaN/inf as null.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -42,14 +42,12 @@ bool jks_informed(const Protocol& p) {
 struct ArenaRunOptions {
   std::uint64_t seed = 7;
   int threads = 1;
-  bool delta = true;
   Round rounds = 120;
 };
 
 /// JKS broadcast under the frontier-driven TIntervalAdversary — the full
-/// arena pipeline in one closure, hashed.
-void run_jks_adversary(const ArenaRunOptions& options,
-                       TraceHashRecorder& recorder) {
+/// arena pipeline in one closure, observed by `recorder`.
+void run_jks_adversary(const ArenaRunOptions& options, Recorder& recorder) {
   Scenario scenario(std::make_unique<MatrixMetric>(
                         kNodes, isolated_distances(kNodes, 1.0e6)),
                     test::default_config());
@@ -59,8 +57,7 @@ void run_jks_adversary(const ArenaRunOptions& options,
   const CarrierSensing sensing = scenario.sensing_local();
   Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
                 EngineConfig{.seed = options.seed,
-                             .threads = options.threads,
-                             .delta_invalidation = options.delta});
+                             .threads = options.threads});
   TIntervalAdversary adversary(*matrix, {.interval = 4});
   adversary.set_frontier(
       [&protocols](NodeId v) { return jks_informed(*protocols[v.value]); });
@@ -69,9 +66,15 @@ void run_jks_adversary(const ArenaRunOptions& options,
   for (Round r = 0; r < options.rounds; ++r) engine.step();
 }
 
+/// Trace hash of one run whose every slot is checked against
+/// Channel::resolve() on the rewired MatrixMetric (the delta path under
+/// adversarial rewiring).
 std::uint64_t jks_adversary_hash(const ArenaRunOptions& options) {
   TraceHashRecorder recorder;
-  run_jks_adversary(options, recorder);
+  ReferenceCheck check(1.0, &recorder);
+  run_jks_adversary(options, check);
+  EXPECT_TRUE(check.passed()) << to_string(check);
+  EXPECT_EQ(check.slots_checked(), static_cast<std::uint64_t>(options.rounds));
   return recorder.final_hash();
 }
 
@@ -133,8 +136,6 @@ TEST(JksBroadcast, BitIdenticalAcrossThreadsRepeatsAndEngineSeeds) {
   EXPECT_EQ(jks_adversary_hash({}), serial);
   // Threads 4: slot pipeline parallelism must not shift a single bit.
   EXPECT_EQ(jks_adversary_hash({.threads = 4}), serial);
-  // Epoch vs delta invalidation.
-  EXPECT_EQ(jks_adversary_hash({.delta = false}), serial);
   // The strong form: JKS never consumes engine randomness ({0,1}
   // probabilities short-circuit Rng::chance), so even the ENGINE SEED does
   // not matter — the whole arena cell is schedule-determined.

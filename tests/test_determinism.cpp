@@ -1,10 +1,13 @@
 // DeterminismAuditor tests: same-seed runs hash identically, injected
 // nondeterminism is caught at the exact round it enters the trace, and
-// trace-length mismatches count as divergence.
+// trace-length mismatches count as divergence. ReferenceCheck tests: a clean
+// engine run checks every slot against Channel::resolve() and finds
+// nothing, and a tampered outcome is reported with its slot and field.
 #include "analysis/determinism.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 
 #include "analysis/runner.h"
@@ -22,10 +25,10 @@ struct RunOptions {
   /// Round (0-based) before which a rogue position jiggle is injected;
   /// -1 = clean run.
   Round perturb_at = -1;
+  double notify_power_scale = 1.0;
 };
 
-void run_dynamic_bcast(const RunOptions& options,
-                       TraceHashRecorder& recorder) {
+void run_dynamic_bcast(const RunOptions& options, Recorder& recorder) {
   Scenario scenario(test::random_points(16, 3.0, options.seed),
                     test::default_config());
   const std::size_t n = scenario.network().size();
@@ -37,7 +40,9 @@ void run_dynamic_bcast(const RunOptions& options,
   });
   const CarrierSensing sensing = scenario.sensing_broadcast();
   Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
-                EngineConfig{.slots_per_round = 2, .seed = options.seed});
+                EngineConfig{.slots_per_round = 2,
+                             .notify_power_scale = options.notify_power_scale,
+                             .seed = options.seed});
   ChurnDynamics churn({.arrival_rate = 0.1,
                        .departure_rate = 0.1,
                        .pinned = {source}});
@@ -124,6 +129,72 @@ TEST(DeterminismAuditor, ReportRendersBothOutcomes) {
   bad.first_divergence = 3;
   EXPECT_NE(to_string(bad).find("NONDETERMINISTIC"), std::string::npos);
   EXPECT_NE(to_string(bad).find("3"), std::string::npos);
+}
+
+TEST(ReferenceCheck, CleanEngineRunChecksEverySlot) {
+  // Two slots per round under churn, Notify slots at a reduced power scale:
+  // every slot is re-resolved at its own scale and matches.
+  constexpr double kNotifyScale = 0.25;
+  TraceHashRecorder trace;
+  ReferenceCheck check(kNotifyScale, &trace);
+  run_dynamic_bcast({.notify_power_scale = kNotifyScale}, check);
+  EXPECT_EQ(check.slots_checked(), 40u * 2);
+  EXPECT_EQ(check.mismatches(), 0u);
+  EXPECT_TRUE(check.passed());
+  // The inner recorder saw the whole run.
+  EXPECT_EQ(trace.round_hashes().size(), 40u);
+
+  // Non-vacuity of the Notify scale: a check told the wrong scale flags a
+  // Notify slot.
+  ReferenceCheck wrong_scale;
+  run_dynamic_bcast({.notify_power_scale = kNotifyScale}, wrong_scale);
+  ASSERT_TRUE(wrong_scale.first_mismatch().has_value());
+  EXPECT_EQ(wrong_scale.first_mismatch()->slot, Slot::Notify);
+}
+
+// Re-checks the first two slots with a transmitter u, tampered: one bit of
+// u's interference flipped in the first, u "decoding" itself (a transmitter
+// never decodes) in the second. The engine is live, so resolve() sees the
+// alive mask the engine used.
+class TamperingRecorder final : public Recorder {
+ public:
+  void on_slot(Round round, Slot slot, const SlotOutcome& outcome,
+               const Engine& engine) override {
+    if (outcome.transmitters.empty() || tampered.size() == 2) return;
+    const NodeId u = outcome.transmitters.front();
+    SlotOutcome bad = outcome;
+    if (tampered.empty()) {
+      bad.interference[u.value] = std::bit_cast<double>(
+          std::bit_cast<std::uint64_t>(bad.interference[u.value]) ^ 1u);
+      tampered.push_back({round, slot, OutcomeField::kInterference});
+    } else {
+      bad.decoded_from[u.value] = u;
+      tampered.push_back({round, slot, OutcomeField::kDecodedFrom});
+    }
+    checks[tampered.size() - 1].on_slot(round, slot, bad, engine);
+  }
+
+  ReferenceCheck checks[2];
+  std::vector<ReferenceCheck::Mismatch> tampered;
+};
+
+TEST(ReferenceCheck, FlagsATamperedOutcome) {
+  TamperingRecorder recorder;
+  run_dynamic_bcast({}, recorder);
+  ASSERT_EQ(recorder.tampered.size(), 2u);
+  for (int i = 0; i < 2; ++i) {
+    const ReferenceCheck& check = recorder.checks[i];
+    const ReferenceCheck::Mismatch& want = recorder.tampered[i];
+    SCOPED_TRACE(to_string(want.field));
+    EXPECT_EQ(check.slots_checked(), 1u);
+    EXPECT_EQ(check.mismatches(), 1u);
+    EXPECT_FALSE(check.passed());
+    ASSERT_TRUE(check.first_mismatch().has_value());
+    EXPECT_EQ(check.first_mismatch()->round, want.round);
+    EXPECT_EQ(check.first_mismatch()->slot, want.slot);
+    EXPECT_EQ(check.first_mismatch()->field, want.field);
+    EXPECT_NE(to_string(check).find(to_string(want.field)), std::string::npos);
+  }
 }
 
 }  // namespace

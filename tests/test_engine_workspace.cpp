@@ -137,10 +137,9 @@ TEST_P(FarFieldAllocation, SlotPerformsNoHeapAllocation) {
   {
     SlotWorkspace ws(far);
     Rng rng(8107);
-    std::vector<NodeId> txs;
-    for (std::uint32_t v = 0; v < kNodes; ++v)
-      if (rng.chance(kTransmitProbability)) txs.push_back(NodeId(v));
     const Network& network = scenario.network();
+    const auto txs =
+        test::sample_transmitters(network, rng, kTransmitProbability);
     const SlotOutcome exact =
         scenario.channel().resolve(txs, network.alive_mask(), 1.0);
     const SlotOutcome& got = scenario.channel().resolve_into(
@@ -175,23 +174,6 @@ INSTANTIATE_TEST_SUITE_P(Threads, FarFieldAllocation,
                                   std::to_string(info.param);
                          });
 
-TEST(SteadyStateAllocation, UncachedPipelineAlsoSettles) {
-  // Even with the topology cache off, the workspace buffers make the slot
-  // allocation-free once warm (the brute-force sweeps write into reused
-  // scratch storage).
-  Scenario scenario(test::random_points(48, 5.0, 8102),
-                    test::default_config());
-  auto protocols = make_protocols(scenario.network().size(), [](NodeId) {
-    return std::make_unique<FixedProbabilityProtocol>(0.2);
-  });
-  const CarrierSensing sensing = scenario.sensing_local();
-  Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
-                EngineConfig{.seed = 7, .cache_topology = false});
-
-  for (int r = 0; r < 25; ++r) engine.step();
-  EXPECT_EQ(allocations_during_rounds(engine, 10), 0);
-}
-
 TEST(SteadyStateAllocation, ObservabilityOnAlsoSettles) {
   // With an Obs handle attached, warm-up creates the metric shard and the
   // trace ring (both sized up front); steady-state rounds then increment
@@ -224,18 +206,12 @@ TEST(SteadyStateAllocation, SoaTiledTableWithEvictionSettles) {
                     test::default_config());
   const Channel& channel = scenario.channel();
   const Network& network = scenario.network();
-  SlotWorkspace ws({.cache_topology = true,
-                    .gain_budget_bytes = 10240,
-                    .gain_tile_cols = 16});
+  SlotWorkspace ws({.gain_budget_bytes = 10240, .gain_tile_cols = 16});
 
   std::vector<std::vector<NodeId>> tx_sets;
   Rng rng(8105);
-  for (int s = 0; s < 12; ++s) {
-    std::vector<NodeId> txs;
-    for (std::uint32_t v = 0; v < 64; ++v)
-      if (rng.chance(0.25)) txs.push_back(NodeId(v));
-    tx_sets.push_back(std::move(txs));
-  }
+  for (int s = 0; s < 12; ++s)
+    tx_sets.push_back(test::sample_transmitters(network, rng, 0.25));
 
   const auto epoch = std::uint64_t{1};
   for (const auto& txs : tx_sets)  // warm-up sizes every buffer
@@ -313,10 +289,11 @@ TEST(GainTableAllocation, AllocatedOnFirstPlanNeverByFarFieldEngines) {
   EXPECT_EQ(exact[2], 0) << "exact engine, later slots";
 }
 
-// Engine-level trace equivalence: the cached/grid/threaded pipeline and the
-// fully uncached one must produce identical ground-truth traces, not just
-// identical single slots.
+// Engine-level trace equivalence: every pipeline configuration must
+// reproduce Channel::resolve() in every slot (checked per slot, not
+// inferred from a hash) and so share one ground-truth trace.
 std::uint64_t engine_trace_hash(const EngineConfig& config) {
+  constexpr int kRounds = 40;
   Scenario scenario(test::random_points(56, 5.5, 8103),
                     test::default_config());
   auto protocols = make_protocols(scenario.network().size(), [](NodeId) {
@@ -326,21 +303,19 @@ std::uint64_t engine_trace_hash(const EngineConfig& config) {
   Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
                 config);
   TraceHashRecorder recorder;
-  engine.set_recorder(&recorder);
-  for (int r = 0; r < 40; ++r) engine.step();
+  ReferenceCheck check(config.notify_power_scale, &recorder);
+  engine.set_recorder(&check);
+  for (int r = 0; r < kRounds; ++r) engine.step();
+  EXPECT_TRUE(check.passed())
+      << to_string(check) << ", threads " << config.threads;
+  EXPECT_EQ(check.slots_checked(), static_cast<std::uint64_t>(kRounds));
   return recorder.final_hash();
 }
 
 TEST(EngineWorkspace, PipelineConfigurationsShareOneTrace) {
-  const std::uint64_t reference =
-      engine_trace_hash(EngineConfig{.seed = 3, .cache_topology = false});
-  EXPECT_EQ(reference,
-            engine_trace_hash(EngineConfig{.seed = 3}));  // cache + grid
+  const std::uint64_t reference = engine_trace_hash(EngineConfig{.seed = 3});
   EXPECT_EQ(reference, engine_trace_hash(EngineConfig{
                            .seed = 3, .threads = 3}));
-  EXPECT_EQ(reference,
-            engine_trace_hash(EngineConfig{
-                .seed = 3, .threads = 2, .cache_topology = false}));
   // Gain-table variants: table disabled, tiled multi-block rows, and the
   // sharded field (16-column tiles: 4 blocks >= 4 threads at n = 56) all
   // reproduce the same trace.

@@ -16,11 +16,7 @@
 namespace udwn {
 namespace {
 
-std::vector<NodeId> ids(std::initializer_list<std::uint32_t> list) {
-  std::vector<NodeId> out;
-  for (auto id : list) out.push_back(NodeId(id));
-  return out;
-}
+using test::ids;
 
 GainTable::Config tiny_tiles(std::size_t tile_cols, std::size_t tiles) {
   return GainTable::Config{.tile_cols = tile_cols,
@@ -268,22 +264,12 @@ TEST(GainTable, PipelineStaysExactBeyondLegacyNodeCliff) {
   const Channel& channel = scenario.channel();
   const Network& network = scenario.network();
 
-  SlotWorkspace ws({.cache_topology = true});
+  SlotWorkspace ws;
   Rng rng(608);
   for (int trial = 0; trial < 2; ++trial) {
-    std::vector<NodeId> txs;
-    for (std::uint32_t v = 0; v < n; ++v)
-      if (rng.chance(0.03)) txs.push_back(NodeId(v));
-    const SlotOutcome ref = channel.resolve(txs, network.alive_mask());
-    const SlotOutcome& got = channel.resolve_into(
-        txs, network.alive_mask(), 1.0, network.topology_epoch(), ws);
-    ASSERT_EQ(ref.interference.size(), got.interference.size());
-    for (std::size_t v = 0; v < n; ++v) {
-      ASSERT_EQ(ref.interference[v], got.interference[v]) << "node " << v;
-      ASSERT_EQ(ref.decoded_from[v], got.decoded_from[v]) << "node " << v;
-      ASSERT_EQ(ref.mass_delivered[v], got.mass_delivered[v]);
-      ASSERT_EQ(ref.clear[v], got.clear[v]);
-    }
+    const auto txs = test::sample_transmitters(network, rng, 0.03);
+    ASSERT_TRUE(test::resolves_exactly(channel, network, txs, ws))
+        << "trial " << trial;
   }
   // The table really was active: two blocks per row, tiles resident.
   GainTable* gains = ws.cache().gains();
@@ -301,18 +287,10 @@ TEST(GainTable, PipelineFallsBackExactlyWhenBudgetTooSmall) {
   const Channel& channel = scenario.channel();
   const Network& network = scenario.network();
 
-  SlotWorkspace ws({.cache_topology = true, .gain_budget_bytes = 1024});
+  SlotWorkspace ws({.gain_budget_bytes = 1024});
   Rng rng(610);
-  std::vector<NodeId> txs;
-  for (std::uint32_t v = 0; v < n; ++v)
-    if (rng.chance(0.02)) txs.push_back(NodeId(v));
-  const SlotOutcome ref = channel.resolve(txs, network.alive_mask());
-  const SlotOutcome& got = channel.resolve_into(
-      txs, network.alive_mask(), 1.0, network.topology_epoch(), ws);
-  for (std::size_t v = 0; v < n; ++v) {
-    ASSERT_EQ(ref.interference[v], got.interference[v]) << "node " << v;
-    ASSERT_EQ(ref.decoded_from[v], got.decoded_from[v]) << "node " << v;
-  }
+  const auto txs = test::sample_transmitters(network, rng, 0.02);
+  EXPECT_TRUE(test::resolves_exactly(channel, network, txs, ws));
   EXPECT_EQ(ws.cache().gains(), nullptr);  // disabled at this budget
 }
 
@@ -357,16 +335,9 @@ TEST(GainTable, SubRowBudgetPipelineStaysExact) {
   SlotWorkspace ws({.gain_budget_bytes = 4 * 16 * 8, .gain_tile_cols = 16});
   Rng rng(613);
   for (int trial = 0; trial < 4; ++trial) {
-    std::vector<NodeId> txs;
-    for (std::uint32_t v = 0; v < 67; ++v)
-      if (rng.chance(0.2)) txs.push_back(NodeId(v));
-    const SlotOutcome ref = channel.resolve(txs, network.alive_mask());
-    const SlotOutcome& got = channel.resolve_into(
-        txs, network.alive_mask(), 1.0, network.topology_epoch(), ws);
-    for (std::size_t v = 0; v < 67; ++v) {
-      ASSERT_EQ(ref.interference[v], got.interference[v]) << "node " << v;
-      ASSERT_EQ(ref.decoded_from[v], got.decoded_from[v]) << "node " << v;
-    }
+    const auto txs = test::sample_transmitters(network, rng, 0.2);
+    ASSERT_TRUE(test::resolves_exactly(channel, network, txs, ws))
+        << "trial " << trial;
   }
   EXPECT_EQ(ws.cache().gains(), nullptr);  // n = 67 needs 5 blocks, holds 4
   EXPECT_GE(ws.cache().gains_storage().stats().disabled_binds, 1u);

@@ -398,7 +398,8 @@ class PhasedProtocol final : public Protocol {
 constexpr int kRounds = 25;
 constexpr std::size_t kNodes = 56;
 
-std::unique_ptr<Obs> run_observed(EngineConfig config) {
+std::unique_ptr<Obs> run_observed(EngineConfig config,
+                                  Recorder* recorder = nullptr) {
   Scenario scenario(test::random_points(kNodes, 5.5, 8103),
                     test::default_config());
   auto protocols = make_protocols(scenario.network().size(), [](NodeId) {
@@ -410,6 +411,7 @@ std::unique_ptr<Obs> run_observed(EngineConfig config) {
   config.obs = obs.get();
   Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
                 config);
+  engine.set_recorder(recorder);
   for (int r = 0; r < kRounds; ++r) engine.step();
   return obs;
 }
@@ -479,20 +481,22 @@ TEST(EngineObs, MetricsOnlyModeEmitsNoEvents) {
 
 // The determinism contract for traces: every event is emitted from the
 // slot-serial sections of Engine::step, so thread counts and kernel choices
-// must not change a single byte of the merged stream.
+// must not change a single byte of the merged stream. The serial reference
+// run is checked slot by slot against Channel::resolve(), so the stream
+// every other run must reproduce is the exact one.
 TEST(EngineObs, EventStreamIsIdenticalAcrossThreadsAndKernels) {
+  ReferenceCheck check;
   const std::vector<TraceEvent> reference =
-      run_observed(EngineConfig{.seed = 3})->snapshot().events;
+      run_observed(EngineConfig{.seed = 3}, &check)->snapshot().events;
   ASSERT_FALSE(reference.empty());
+  EXPECT_TRUE(check.passed()) << to_string(check);
+  EXPECT_EQ(check.slots_checked(), static_cast<std::uint64_t>(2 * kRounds));
 
   EXPECT_EQ(reference,
             run_observed(EngineConfig{.seed = 3, .threads = 4})
                 ->snapshot().events);
-  // Brute-force kernel (no cache) and the sharded field (16-column tiles:
-  // 4 blocks >= 4 threads at kNodes = 56).
-  EXPECT_EQ(reference,
-            run_observed(EngineConfig{.seed = 3, .cache_topology = false})
-                ->snapshot().events);
+  // The sharded field (16-column tiles: 4 blocks >= 4 threads at
+  // kNodes = 56).
   EXPECT_EQ(reference,
             run_observed(
                 EngineConfig{.seed = 3, .threads = 4, .gain_tile_cols = 16})

@@ -1,10 +1,10 @@
 // Property tests for the slot pipeline: Channel::resolve_into (cached /
 // grid-pruned / parallel / sharded) must be bit-for-bit identical to the
 // brute-force reference Channel::resolve under every configuration — all
-// reception models, cache on/off, gain-table shapes, thread counts, power
-// scales, and under churn + mobility invalidation. Asymmetric
-// quasi-metrics additionally must never be grid-pruned (the grid is
-// Euclidean-only by contract).
+// reception models, gain-table shapes, thread counts, power scales, and
+// under churn + mobility invalidation. Asymmetric quasi-metrics
+// additionally must never be grid-pruned (the grid is Euclidean-only by
+// contract).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,37 +19,6 @@
 namespace udwn {
 namespace {
 
-// Every field compared with exact equality: interference entries are
-// doubles and must match to the last bit, not approximately.
-void expect_outcomes_identical(const SlotOutcome& ref, const SlotOutcome& got,
-                               const char* label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(ref.transmitters.size(), got.transmitters.size());
-  for (std::size_t i = 0; i < ref.transmitters.size(); ++i)
-    EXPECT_EQ(ref.transmitters[i], got.transmitters[i]);
-  ASSERT_EQ(ref.interference.size(), got.interference.size());
-  for (std::size_t v = 0; v < ref.interference.size(); ++v) {
-    EXPECT_EQ(ref.interference[v], got.interference[v])  // bitwise, not NEAR
-        << "interference mismatch at node " << v;
-  }
-  for (std::size_t v = 0; v < ref.decoded_from.size(); ++v)
-    EXPECT_EQ(ref.decoded_from[v], got.decoded_from[v]) << "node " << v;
-  for (std::size_t v = 0; v < ref.mass_delivered.size(); ++v)
-    EXPECT_EQ(ref.mass_delivered[v], got.mass_delivered[v]) << "node " << v;
-  for (std::size_t v = 0; v < ref.clear.size(); ++v)
-    EXPECT_EQ(ref.clear[v], got.clear[v]) << "node " << v;
-}
-
-std::vector<NodeId> sample_transmitters(const Network& network, Rng& rng,
-                                        double p) {
-  std::vector<NodeId> txs;
-  for (std::size_t v = 0; v < network.size(); ++v) {
-    const NodeId id(static_cast<std::uint32_t>(v));
-    if (network.alive(id) && rng.chance(p)) txs.push_back(id);
-  }
-  return txs;
-}
-
 struct PipelineVariant {
   const char* label;
   SlotWorkspaceConfig config;
@@ -57,32 +26,29 @@ struct PipelineVariant {
 
 std::vector<PipelineVariant> all_variants() {
   return {
-      {"cache+grid", {.cache_topology = true}},
-      {"uncached", {.cache_topology = false}},
+      {"cache+grid", {}},
       {"cache+grid+threads3",
        // One 4096-column block < 3 threads: the unsharded pool kernel.
-       {.cache_topology = true, .threads = 3}},
-      {"uncached+threads2", {.cache_topology = false, .threads = 2}},
+       {.threads = 3}},
       {"tiled+threads3",
        // 16-column tiles at n = 60: 4 blocks >= 3 threads, so the fused
        // plan/fill shard path (Channel::sharded_field) runs every slot.
-       {.cache_topology = true, .gain_tile_cols = 16, .threads = 3}},
+       {.gain_tile_cols = 16, .threads = 3}},
       {"no-gain-table",
        // Budget 0 disables gain caching entirely while keeping the
        // neighbor cache and grid on (uncached interference kernel).
-       {.cache_topology = true, .gain_budget_bytes = 0}},
+       {.gain_budget_bytes = 0}},
       {"tiled-gain-table",
        // 16-column tiles force multi-block rows at n = 60.
-       {.cache_topology = true, .gain_tile_cols = 16}},
+       {.gain_tile_cols = 16}},
       {"tiled-lru-pressure",
        // 60 resident tiles vs 240 logical: ensure_rows succeeds only by
        // evicting, so every slot exercises the LRU path.
-       {.cache_topology = true, .gain_budget_bytes = 7680,
-        .gain_tile_cols = 16}},
+       {.gain_budget_bytes = 7680, .gain_tile_cols = 16}},
       {"gain-table-fallback",
        // Budget below one tile: ensure_rows always fails and the pipeline
        // falls back to the uncached kernel mid-flight.
-       {.cache_topology = true, .gain_budget_bytes = 512}},
+       {.gain_budget_bytes = 512}},
   };
 }
 
@@ -99,13 +65,9 @@ TEST_P(SlotPipelineModels, MatchesReferenceOnRandomEuclidean) {
     SlotWorkspace ws(variant.config);
     for (int trial = 0; trial < 8; ++trial) {
       for (double scale : {1.0, 0.3}) {
-        const auto txs = sample_transmitters(network, rng, 0.2);
-        const SlotOutcome ref =
-            channel.resolve(txs, network.alive_mask(), scale);
-        const SlotOutcome& got =
-            channel.resolve_into(txs, network.alive_mask(), scale,
-                                 network.topology_epoch(), ws);
-        expect_outcomes_identical(ref, got, variant.label);
+        const auto txs = test::sample_transmitters(network, rng, 0.2);
+        EXPECT_TRUE(test::resolves_exactly(channel, network, txs, ws, scale))
+            << variant.label;
       }
     }
     if (std::string_view(variant.label) == "tiled+threads3") {
@@ -130,8 +92,7 @@ TEST(SlotPipeline, CacheInvalidatesUnderChurnAndMobility) {
   EuclideanMetric& metric = *scenario.euclidean();
   Rng rng(123);
 
-  SlotWorkspace ws(
-      {.cache_topology = true, .threads = 2});
+  SlotWorkspace ws({.threads = 2});
   for (int round = 0; round < 30; ++round) {
     // Churn: toggle a random node (never leaving fewer than 2 alive).
     const NodeId victim(static_cast<std::uint32_t>(rng.below(50)));
@@ -144,12 +105,9 @@ TEST(SlotPipeline, CacheInvalidatesUnderChurnAndMobility) {
                         {p.x + rng.uniform(-0.2, 0.2),
                          p.y + rng.uniform(-0.2, 0.2)});
 
-    const auto txs = sample_transmitters(network, rng, 0.25);
-    const SlotOutcome ref =
-        channel.resolve(txs, network.alive_mask(), 1.0);
-    const SlotOutcome& got = channel.resolve_into(
-        txs, network.alive_mask(), 1.0, network.topology_epoch(), ws);
-    expect_outcomes_identical(ref, got, "churn+mobility");
+    const auto txs = test::sample_transmitters(network, rng, 0.25);
+    EXPECT_TRUE(test::resolves_exactly(channel, network, txs, ws))
+        << "churn+mobility";
   }
 }
 
@@ -160,17 +118,14 @@ TEST(SlotPipeline, StaleWorkspaceReusedAcrossEpochsStaysExact) {
   const Channel& channel = scenario.channel();
   Network& network = scenario.network();
   Rng rng(5);
-  SlotWorkspace ws({.cache_topology = true});
+  SlotWorkspace ws;
 
   for (int flip = 0; flip < 6; ++flip) {
     network.set_alive(NodeId(3), flip % 2 == 0);
     for (int trial = 0; trial < 3; ++trial) {
-      const auto txs = sample_transmitters(network, rng, 0.3);
-      const SlotOutcome ref =
-          channel.resolve(txs, network.alive_mask(), 1.0);
-      const SlotOutcome& got = channel.resolve_into(
-          txs, network.alive_mask(), 1.0, network.topology_epoch(), ws);
-      expect_outcomes_identical(ref, got, "epoch-flip");
+      const auto txs = test::sample_transmitters(network, rng, 0.3);
+      EXPECT_TRUE(test::resolves_exactly(channel, network, txs, ws))
+          << "epoch-flip";
     }
   }
 }
@@ -187,14 +142,11 @@ TEST_P(SlotPipelineAsymmetric, MatchesReferenceAndNeverUsesGrid) {
   Rng rng(77);
 
   ASSERT_EQ(scenario.euclidean(), nullptr);
-  SlotWorkspace ws(
-      {.cache_topology = true, .threads = 2});
+  SlotWorkspace ws({.threads = 2});
   for (int trial = 0; trial < 10; ++trial) {
-    const auto txs = sample_transmitters(network, rng, 0.25);
-    const SlotOutcome ref = channel.resolve(txs, network.alive_mask(), 1.0);
-    const SlotOutcome& got = channel.resolve_into(
-        txs, network.alive_mask(), 1.0, network.topology_epoch(), ws);
-    expect_outcomes_identical(ref, got, "asymmetric");
+    const auto txs = test::sample_transmitters(network, rng, 0.25);
+    EXPECT_TRUE(test::resolves_exactly(channel, network, txs, ws))
+        << "asymmetric";
     // The grid is a Euclidean-ball structure; on an asymmetric quasi-metric
     // it must never be attached, or pruning would be unsound.
     EXPECT_EQ(ws.cache().grid(), nullptr);
@@ -217,7 +169,7 @@ TEST(SlotPipeline, AsymmetricCacheSurvivesDistanceEdits) {
   const Channel& channel = scenario.channel();
   const Network& network = scenario.network();
   Rng rng(11);
-  SlotWorkspace ws({.cache_topology = true});
+  SlotWorkspace ws;
 
   for (int edit = 0; edit < 8; ++edit) {
     const NodeId u(static_cast<std::uint32_t>(rng.below(20)));
@@ -225,11 +177,9 @@ TEST(SlotPipeline, AsymmetricCacheSurvivesDistanceEdits) {
     if (u == v) v = NodeId((v.value + 1) % 20);
     matrix->set_distance(u, v, rng.uniform(0.3, 2.5));
 
-    const auto txs = sample_transmitters(network, rng, 0.3);
-    const SlotOutcome ref = channel.resolve(txs, network.alive_mask(), 1.0);
-    const SlotOutcome& got = channel.resolve_into(
-        txs, network.alive_mask(), 1.0, network.topology_epoch(), ws);
-    expect_outcomes_identical(ref, got, "matrix-edit");
+    const auto txs = test::sample_transmitters(network, rng, 0.3);
+    EXPECT_TRUE(test::resolves_exactly(channel, network, txs, ws))
+        << "matrix-edit";
   }
 }
 
@@ -238,20 +188,19 @@ TEST(SlotPipeline, CachedNeighborsMatchChannelNeighbors) {
   const Channel& channel = scenario.channel();
   Network& network = scenario.network();
   Rng rng(13);
-  SlotWorkspace ws({.cache_topology = true});
+  SlotWorkspace ws;
 
   for (int round = 0; round < 5; ++round) {
     network.set_alive(NodeId(static_cast<std::uint32_t>(rng.below(45))), round % 2 == 0);
     // Prime the cache through the public pipeline entry point.
-    const auto txs = sample_transmitters(network, rng, 0.3);
+    const auto txs = test::sample_transmitters(network, rng, 0.3);
     (void)channel.resolve_into(txs, network.alive_mask(), 1.0,
                                network.topology_epoch(), ws);
     for (std::uint32_t u = 0; u < 45; ++u) {
-      const auto brute = channel.neighbors(NodeId(u), network.alive_mask());
       const auto cached = ws.cache().neighbors(NodeId(u));
-      ASSERT_EQ(brute.size(), cached.size()) << "node " << u;
-      for (std::size_t i = 0; i < brute.size(); ++i)
-        EXPECT_EQ(brute[i], cached[i]) << "node " << u << " entry " << i;
+      EXPECT_EQ(std::vector<NodeId>(cached.begin(), cached.end()),
+                channel.neighbors(NodeId(u), network.alive_mask()))
+          << "node " << u;
     }
   }
 }
@@ -260,17 +209,15 @@ TEST(SlotPipeline, EmptyAndFullTransmitterSets) {
   Scenario scenario(test::random_points(25, 4.0, 7007), test::default_config());
   const Channel& channel = scenario.channel();
   const Network& network = scenario.network();
-  SlotWorkspace ws({.cache_topology = true});
+  SlotWorkspace ws;
 
   const std::vector<NodeId> none;
   std::vector<NodeId> everyone;
   for (std::uint32_t v = 0; v < 25; ++v) everyone.push_back(NodeId(v));
 
   for (const auto& txs : {none, everyone}) {
-    const SlotOutcome ref = channel.resolve(txs, network.alive_mask(), 1.0);
-    const SlotOutcome& got = channel.resolve_into(
-        txs, network.alive_mask(), 1.0, network.topology_epoch(), ws);
-    expect_outcomes_identical(ref, got, txs.empty() ? "empty" : "full");
+    EXPECT_TRUE(test::resolves_exactly(channel, network, txs, ws))
+        << (txs.empty() ? "empty" : "full");
   }
 }
 

@@ -2,24 +2,24 @@
 //
 //  1. Run-twice: a dynamic-broadcast scenario run twice under the same seed
 //     produces bit-for-bit identical event traces.
-//  2. Pipeline matrix: the same scenario resolved through every slot
-//     pipeline configuration — brute-force uncached, epoch-invalidated
-//     (delta_invalidation off), delta-invalidated, serial and
-//     multi-threaded kernels — yields one identical trace. This is the
-//     executable form of the resolve_into ≡ resolve contract
-//     (docs/ENGINE.md) under full dynamics: churn AND mobility invalidate
-//     the caches every round, so delta ≡ epoch ≡ uncached is checked where
-//     it matters, not on a static topology.
+//  2. Reference: every slot of the serial run equals Channel::resolve(),
+//     the one exact specification of a slot (ReferenceCheck). Churn AND
+//     mobility invalidate the caches every round, so the delta path is
+//     checked where it matters, not on a static topology.
+//  3. Pipeline matrix: the same scenario resolved through every slot
+//     pipeline configuration — serial, multi-threaded and sharded kernels,
+//     observability attached — yields the serial run's trace.
 //
 // Builds the EXP-10 style workload (cluster chain, node churn + bounded
 // mobility, Bcast(beta) with two slots per round), runs it through
 // the DeterminismAuditor, and reports the per-run trace hashes and the
-// first divergent round if any. Exit code 0 = identical, 1 = divergence.
+// first divergent round if any. Exit code 0 = identical, 1 = divergence or
+// a slot that differs from Channel::resolve().
 //
 // Wired into ctest so "deterministic under seed" is enforced on every test
 // run, not assumed. `--inject` deliberately perturbs the second run (one
 // extra RNG draw on one node) to demonstrate the auditor catches real
-// nondeterminism; that mode must exit nonzero.
+// nondeterminism; that mode exits 0 only when the fault is detected.
 //
 //   determinism_audit [--seed N] [--rounds N] [--clusters N] [--threads N]
 //                     [--no-matrix] [--inject]
@@ -67,11 +67,7 @@ struct Options {
 /// Slot-pipeline knobs under audit (subset of EngineConfig).
 struct PipelineConfig {
   const char* label;
-  bool cache_topology;
   int threads;
-  /// Per-node delta invalidation (EngineConfig::delta_invalidation);
-  /// false = the pure epoch-invalidation reference path.
-  bool delta_invalidation = true;
   /// Attach an Obs handle for the run: observability must be a pure
   /// observer, so the trace hash has to match the reference exactly.
   bool obs = false;
@@ -88,7 +84,7 @@ struct PipelineConfig {
 
 void run_dynamic_broadcast(const Options& options, bool perturb,
                            const PipelineConfig& pipeline,
-                           TraceHashRecorder& recorder) {
+                           Recorder& recorder) {
   Rng topo_rng(options.seed);
   auto points = cluster_chain(options.clusters, 6, 0.6, 0.05, topo_rng);
   Scenario scenario(std::move(points), ScenarioConfig{});
@@ -108,8 +104,6 @@ void run_dynamic_broadcast(const Options& options, bool perturb,
                 EngineConfig{.slots_per_round = 2,
                              .seed = options.seed,
                              .threads = pipeline.threads,
-                             .cache_topology = pipeline.cache_topology,
-                             .delta_invalidation = pipeline.delta_invalidation,
                              .far_field_eps = pipeline.far_field_eps,
                              .far_field_cell_factor =
                                  pipeline.far_field_cell_factor,
@@ -140,37 +134,36 @@ void run_dynamic_broadcast(const Options& options, bool perturb,
   }
 }
 
-/// Pipeline matrix: one trace per configuration, all compared against the
-/// brute-force serial reference. Any divergence is a bug in the cache /
-/// grid / parallel kernels, not scheduling noise — the contract is
-/// bit-exact equality.
-int run_pipeline_matrix(const Options& options) {
+/// Compare `trace` with `reference` and print one row; 1 if they diverge.
+int diverges(const TraceHashRecorder& reference,
+             const TraceHashRecorder& trace, const std::string& row) {
+  const DeterminismReport report =
+      DeterminismAuditor::compare(reference, trace);
+  std::cout << "    " << row << ": " << to_string(report) << "\n";
+  return report.deterministic ? 0 : 1;
+}
+
+/// Pipeline matrix: every configuration's trace is compared with the serial
+/// run's, which run() has checked slot by slot against Channel::resolve().
+/// Any divergence is a bug in the cache / grid / parallel kernels, not
+/// scheduling noise — the contract is bit-exact equality.
+int run_pipeline_matrix(const Options& options,
+                        const TraceHashRecorder& serial) {
   const PipelineConfig configs[] = {
-      {"uncached-serial", false, 1, /*delta=*/false},
-      {"epoch-serial", true, 1, /*delta=*/false},
-      {"delta-serial", true, 1, /*delta=*/true},
-      // Default 4096-column tiles: one block < threads, so these rows run
+      // Default 4096-column tiles: one block < threads, so this row runs
       // the unsharded pool kernel.
-      {"epoch-threads", true, options.threads, /*delta=*/false},
-      {"delta-threads", true, options.threads, /*delta=*/true},
-      {"obs-on", true, options.threads, true, /*obs=*/true},
+      {"threads", options.threads},
+      {"obs-on", options.threads, /*obs=*/true},
       // 8-column tiles: blocks = ceil(n/8) >= threads at audit sizes, so
       // the fused plan/fill shard path runs every slot.
-      {"sharded", true, options.threads, true, false, 0.0, 2.0,
-       /*gain_tile_cols=*/8},
+      {"sharded", options.threads, false, 0.0, 2.0, /*gain_tile_cols=*/8},
   };
-  std::vector<TraceHashRecorder> traces(std::size(configs));
-  for (std::size_t i = 0; i < std::size(configs); ++i)
-    run_dynamic_broadcast(options, /*perturb=*/false, configs[i], traces[i]);
-
   int failures = 0;
-  std::cout << "  pipeline matrix (reference: " << configs[0].label << ")\n";
-  for (std::size_t i = 1; i < std::size(configs); ++i) {
-    const DeterminismReport report =
-        DeterminismAuditor::compare(traces[0], traces[i]);
-    std::cout << "    vs " << configs[i].label << ": " << to_string(report)
-              << "\n";
-    if (!report.deterministic) ++failures;
+  std::cout << "  pipeline matrix (reference: serial)\n";
+  for (const PipelineConfig& config : configs) {
+    TraceHashRecorder trace;
+    run_dynamic_broadcast(options, /*perturb=*/false, config, trace);
+    failures += diverges(serial, trace, std::string("vs ") + config.label);
   }
   return failures == 0 ? 0 : 1;
 }
@@ -181,26 +174,21 @@ int run_pipeline_matrix(const Options& options) {
 /// repeat must produce one identical trace — the approximation must be a
 /// pure function of the seed, never of scheduling.
 int run_far_field_group(const Options& options) {
-  PipelineConfig serial{"far-field-serial", true, 1};
-  serial.far_field_eps = 0.5;
-  serial.far_field_cell_factor = 0.25;  // ρ inside the chain extent
-  PipelineConfig threaded = serial;
-  threaded.label = "far-field-threads";
-  threaded.threads = options.threads;
-  const PipelineConfig configs[] = {serial, threaded, threaded};
-  std::vector<TraceHashRecorder> traces(std::size(configs));
-  for (std::size_t i = 0; i < std::size(configs); ++i)
-    run_dynamic_broadcast(options, /*perturb=*/false, configs[i], traces[i]);
+  PipelineConfig config{"far-field-serial", 1};
+  config.far_field_eps = 0.5;
+  config.far_field_cell_factor = 0.25;  // ρ inside the chain extent
+  TraceHashRecorder reference;
+  run_dynamic_broadcast(options, /*perturb=*/false, config, reference);
+  config.threads = options.threads;
 
   int failures = 0;
   std::cout << "  far-field self-determinism (eps=0.5, reference: "
-            << configs[0].label << ")\n";
-  for (std::size_t i = 1; i < std::size(configs); ++i) {
-    const DeterminismReport report =
-        DeterminismAuditor::compare(traces[0], traces[i]);
-    std::cout << "    vs " << configs[i].label << (i == 2 ? " (repeat)" : "")
-              << ": " << to_string(report) << "\n";
-    if (!report.deterministic) ++failures;
+               "far-field-serial)\n";
+  for (const char* row :
+       {"vs far-field-threads", "vs far-field-threads (repeat)"}) {
+    TraceHashRecorder trace;
+    run_dynamic_broadcast(options, /*perturb=*/false, config, trace);
+    failures += diverges(reference, trace, row);
   }
   return failures == 0 ? 0 : 1;
 }
@@ -210,7 +198,7 @@ int run_far_field_group(const Options& options) {
 /// seed-stream discipline sim/batch.h documents.
 int run_batch_check(const Options& options) {
   constexpr std::size_t kTrials = 3;
-  const PipelineConfig pipeline{"cached+grid-serial", true, 1};
+  const PipelineConfig pipeline{"serial", 1};
   const auto seeds = BatchRunner::trial_seeds(options.seed, kTrials);
 
   auto trial_hash = [&](std::size_t k) {
@@ -352,23 +340,25 @@ int run_svc_group(const Options& options) {
 }
 
 /// Baselines group (EXP-18 arena): the competitor protocols join the audit
-/// matrix. JKS under the frontier-driven TIntervalAdversary is the strong
-/// row — its {0,1} probabilities short-circuit Rng::chance and consume no
-/// randomness, so beyond the usual pipeline shapes even a DIFFERENT ENGINE
-/// SEED must hash identically. The opportunistic protocol draws real
-/// probabilities under churn, so its contract is the standard one: a pure
-/// function of the seed across delta/epoch invalidation and thread counts.
+/// matrix. Each reference run is checked slot by slot against
+/// Channel::resolve() — on a rewired MatrixMetric for JKS, under churn for
+/// the opportunistic protocol. JKS under the frontier-driven
+/// TIntervalAdversary is the strong row — its {0,1} probabilities
+/// short-circuit Rng::chance and consume no randomness, so beyond the usual
+/// pipeline shapes even a DIFFERENT ENGINE SEED must hash identically. The
+/// opportunistic protocol draws real probabilities under churn, so its
+/// contract is the standard one: a pure function of the seed across thread
+/// counts.
 int run_baselines_group(const Options& options) {
   struct Shape {
     const char* label;
     int threads;
-    bool delta;
     std::uint64_t seed;
   };
   const std::uint64_t base_seed = options.seed;
   constexpr Round kRounds = 120;
 
-  auto run_jks = [&](const Shape& shape, TraceHashRecorder& recorder) {
+  auto run_jks = [&](const Shape& shape, Recorder& recorder) {
     constexpr std::size_t n = 24;
     Scenario scenario(
         std::make_unique<MatrixMetric>(n, isolated_distances(n, 1.0e6)),
@@ -380,9 +370,7 @@ int run_baselines_group(const Options& options) {
     });
     const CarrierSensing sensing = scenario.sensing_local();
     Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
-                  EngineConfig{.seed = shape.seed,
-                               .threads = shape.threads,
-                               .delta_invalidation = shape.delta});
+                  EngineConfig{.seed = shape.seed, .threads = shape.threads});
     TIntervalAdversary adversary(*matrix, {.interval = 4});
     adversary.set_frontier([&protocols](NodeId v) {
       return static_cast<const JksBroadcastProtocol&>(*protocols[v.value])
@@ -393,7 +381,7 @@ int run_baselines_group(const Options& options) {
     for (Round r = 0; r < kRounds; ++r) engine.step();
   };
 
-  auto run_oppo = [&](const Shape& shape, TraceHashRecorder& recorder) {
+  auto run_oppo = [&](const Shape& shape, Recorder& recorder) {
     Rng topo_rng(base_seed);
     Scenario scenario(cluster_chain(4, 5, 0.6, 0.05, topo_rng),
                       ScenarioConfig{});
@@ -405,9 +393,7 @@ int run_baselines_group(const Options& options) {
     });
     const CarrierSensing sensing = scenario.sensing_local();
     Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
-                  EngineConfig{.seed = shape.seed,
-                               .threads = shape.threads,
-                               .delta_invalidation = shape.delta});
+                  EngineConfig{.seed = shape.seed, .threads = shape.threads});
     ChurnDynamics churn({.arrival_rate = 0.05,
                          .departure_rate = 0.05,
                          .pinned = {source}});
@@ -418,49 +404,51 @@ int run_baselines_group(const Options& options) {
 
   auto audit_rows = [&](const char* name, auto&& runner,
                         bool seed_invariant) {
-    const Shape reference{"serial-delta", 1, true, base_seed};
+    const Shape reference{"serial", 1, base_seed};
     TraceHashRecorder ref_trace;
-    runner(reference, ref_trace);
+    ReferenceCheck check(1.0, &ref_trace);
+    runner(reference, check);
+    std::cout << "    " << name << " " << to_string(check) << "\n";
+    int bad = check.passed() ? 0 : 1;
     std::vector<Shape> rows = {
-        {"serial-epoch", 1, false, base_seed},
-        {"threads", options.threads, true, base_seed},
-        {"threads (repeat)", options.threads, true, base_seed},
+        {"threads", options.threads, base_seed},
+        {"threads (repeat)", options.threads, base_seed},
     };
     if (seed_invariant)
-      rows.push_back({"other-engine-seed", 1, true,
-                      base_seed ^ 0x9e3779b97f4a7c15ull});
-    int bad = 0;
+      rows.push_back(
+          {"other-engine-seed", 1, base_seed ^ 0x9e3779b97f4a7c15ull});
     for (const Shape& shape : rows) {
       TraceHashRecorder trace;
       runner(shape, trace);
-      const DeterminismReport report =
-          DeterminismAuditor::compare(ref_trace, trace);
-      std::cout << "    " << name << " vs " << shape.label << ": "
-                << to_string(report) << "\n";
-      if (!report.deterministic) ++bad;
+      bad += diverges(ref_trace, trace,
+                      std::string(name) + " vs " + shape.label);
     }
     return bad;
   };
 
-  std::cout << "  baselines (reference: serial-delta)\n";
+  std::cout << "  baselines (reference: serial)\n";
   int failures = audit_rows("jks+adversary", run_jks, /*seed_invariant=*/true);
   failures += audit_rows("opportunistic+churn", run_oppo, false);
   return failures == 0 ? 0 : 1;
 }
 
 int run(const Options& options) {
-  const PipelineConfig reference{"cached+grid-serial", true, 1};
-  int call = 0;
-  const DeterminismReport report = DeterminismAuditor::audit(
-      [&](TraceHashRecorder& recorder) {
-        const bool perturb = options.inject && call++ == 1;
-        run_dynamic_broadcast(options, perturb, reference, recorder);
-      });
+  // Run A is checked slot by slot against Channel::resolve() and is the
+  // reference of every later group; run B repeats it (perturbed under
+  // --inject).
+  const PipelineConfig serial{"serial", 1};
+  TraceHashRecorder a;
+  TraceHashRecorder b;
+  ReferenceCheck check(1.0, &a);
+  run_dynamic_broadcast(options, /*perturb=*/false, serial, check);
+  run_dynamic_broadcast(options, options.inject, serial, b);
+  const DeterminismReport report = DeterminismAuditor::compare(a, b);
 
   std::cout << "determinism_audit: dynamic broadcast, seed " << options.seed
             << ", " << options.rounds << " rounds, " << options.clusters
             << " clusters" << (options.inject ? ", INJECTED FAULT" : "")
-            << "\n  " << to_string(report) << "\n";
+            << "\n  " << to_string(report) << "\n  serial "
+            << to_string(check) << "\n";
 
   if (options.inject) {
     // Self-test mode: success means the fault was *detected*. The matrix is
@@ -472,8 +460,8 @@ int run(const Options& options) {
     std::cout << "  ERROR: injected nondeterminism was NOT detected\n";
     return 1;
   }
-  int rc = report.deterministic ? 0 : 1;
-  if (options.matrix && rc == 0) rc = run_pipeline_matrix(options);
+  int rc = report.deterministic && check.passed() ? 0 : 1;
+  if (options.matrix && rc == 0) rc = run_pipeline_matrix(options, a);
   if (options.matrix && rc == 0) rc = run_far_field_group(options);
   if (options.matrix && rc == 0) rc = run_batch_check(options);
   if (options.matrix && rc == 0) rc = run_svc_group(options);
