@@ -110,6 +110,7 @@ class SlotWorkspace {
   }
   /// Introspection for tests: the cache backing this workspace.
   [[nodiscard]] TopologyCache& cache() { return cache_; }
+  [[nodiscard]] const TopologyCache& cache() const { return cache_; }
   /// The kernel pool (null when threads == 1); the engine reads its Stats
   /// to publish per-round scheduling deltas.
   [[nodiscard]] TaskPool* pool() { return pool_.get(); }

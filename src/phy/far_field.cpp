@@ -239,14 +239,13 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
   // Δcx are a contiguous cy range, so their transmitters are one run of the
   // sorted copies; rows are walked in ascending Δcx, which makes each
   // listener's sum run in (near cell, slot order) — deterministic.
-  // Listeners partition the work. The terms are
-  // PathLoss::signal(EuclideanMetric::distance(u, v)) written out:
-  // P / max(hypot(u − v), near_limit)^ζ.
+  // Listeners partition the work. The terms are the inline
+  // PathLoss::signal(u, v), bit for bit
+  // PathLoss::signal(EuclideanMetric::distance(u, v)); the local copy keeps
+  // P, ζ and the near limit in registers.
   field.resize(n);  // udwn-lint: allow(hot-path-alloc): per-slot output,
                     // reuses capacity at steady state
-  const double power = pathloss.power();
-  const double zeta = pathloss.zeta();
-  const double near_limit = pathloss.near_limit();
+  const PathLoss pl = pathloss;
   const auto rows = static_cast<std::int32_t>(near_half_.size());
   const auto gx = static_cast<std::int32_t>(ncx);
   const auto gy = static_cast<std::int32_t>(ncy);
@@ -255,8 +254,7 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
       const std::size_t c = listener_cell_[v];
       const auto cx = static_cast<std::int32_t>(c / ncy);
       const auto cy = static_cast<std::int32_t>(c % ncy);
-      const double px = pts[v].x;
-      const double py = pts[v].y;
+      const Vec2 listener = pts[v];
       double acc = far_sum_[c];
       for (std::int32_t r = std::max(0, cx - rows + 1),
                         r_end = std::min(gx, cx + rows);
@@ -270,8 +268,7 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
              m < m_end; ++m) {
           const NearTx& u = tx_[m];
           if (u.id == v) continue;
-          const double d = std::hypot(u.x - px, u.y - py);
-          acc += power / std::pow(d < near_limit ? near_limit : d, zeta);
+          acc += pl.signal(Vec2{u.x, u.y}, listener);
         }
       }
       field[v] = acc;

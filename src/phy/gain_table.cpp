@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/contract.h"
+#include "metric/euclidean.h"
 
 namespace udwn {
 
@@ -25,6 +26,22 @@ void release(std::vector<T>& v) {
   std::vector<T>().swap(v);
 }
 
+// Write gain(j) into dst[j] for every column of a full fill (patch_stamp
+// 0), or only for the columns moved since the tile's fill version (a
+// patch: patch_stamp is the tile's stale stamp, fill version + 1).
+template <class Gain>
+void write_cells(double* dst, std::size_t count,
+                 const std::uint64_t* moved_at, std::uint64_t patch_stamp,
+                 Gain gain) {
+  if (patch_stamp != 0) {
+    const std::uint64_t filled_at = patch_stamp - 1;
+    for (std::size_t j = 0; j < count; ++j)
+      if (moved_at[j] > filled_at) dst[j] = gain(j);
+    return;
+  }
+  for (std::size_t j = 0; j < count; ++j) dst[j] = gain(j);
+}
+
 }  // namespace
 
 GainTable::GainTable(Config config) : config_(config) {
@@ -33,6 +50,7 @@ GainTable::GainTable(Config config) : config_(config) {
 
 void GainTable::bind(const QuasiMetric& metric, const PathLoss& pathloss) {
   metric_ = &metric;
+  euclid_ = dynamic_cast<const EuclideanMetric*>(&metric);
   pathloss_ = &pathloss;
   n_ = metric.size();
   tile_cols_ = config_.tile_cols;
@@ -109,6 +127,15 @@ void GainTable::lru_detach(std::uint32_t slot) {
   lru_next_[slot] = kInvalid;
 }
 
+void GainTable::lru_to_tail(std::uint32_t slot) {
+  if (lru_tail_ == slot) return;
+  lru_detach(slot);
+  lru_prev_[slot] = lru_tail_;
+  if (lru_tail_ != kInvalid) lru_next_[lru_tail_] = slot;
+  lru_tail_ = slot;
+  if (lru_head_ == kInvalid) lru_head_ = slot;
+}
+
 void GainTable::lru_touch(std::uint32_t slot) {
   if (lru_head_ == slot) return;
   lru_detach(slot);
@@ -143,22 +170,29 @@ void GainTable::fill_tile(const PendingFill& fill) {
   const std::size_t count = block_cols(b);
   double* dst = storage_.get() +
                 static_cast<std::size_t>(tile_slot_[fill.tile]) * stride_;
-  const NodeId id(static_cast<std::uint32_t>(u));
-  const auto gain = [&](std::size_t j) {
-    return pathloss_->signal(
-        metric_->distance(id, NodeId(static_cast<std::uint32_t>(begin + j))));
-  };
-  if (fill.stamp != 0) {
-    // Patch: recompute only the columns that moved since the tile's fill
-    // version. Row u did not (plan_rows checked), so the diagonal is never
-    // among them and keeps its +0.0.
-    const std::uint64_t filled_at = fill.stamp - 1;
-    const std::uint64_t* moved_at = col_version_.data() + begin;
-    for (std::size_t j = 0; j < count; ++j)
-      if (moved_at[j] > filled_at) dst[j] = gain(j);
-    return;
+  // A patch recomputes only the columns that moved since the tile's fill
+  // version. Row u did not (plan_rows checked), so the diagonal is never
+  // among them and keeps its +0.0.
+  const std::uint64_t* moved_at = col_version_.data() + begin;
+  if (euclid_ != nullptr) {
+    // Positions read directly and the gain inlined: PathLoss::signal(u, v)
+    // is bit for bit signal(EuclideanMetric::distance(u, v)), without two
+    // indirect calls per cell. The local copy keeps P, ζ and the near limit
+    // in registers.
+    const PathLoss pl = *pathloss_;
+    const std::span<const Vec2> pts = euclid_->positions();
+    const Vec2 pu = pts[u];
+    const Vec2* pos = pts.data() + begin;
+    write_cells(dst, count, moved_at, fill.stamp,
+                [&](std::size_t j) { return pl.signal(pu, pos[j]); });
+  } else {
+    const NodeId id(static_cast<std::uint32_t>(u));
+    write_cells(dst, count, moved_at, fill.stamp, [&](std::size_t j) {
+      return pathloss_->signal(metric_->distance(
+          id, NodeId(static_cast<std::uint32_t>(begin + j))));
+    });
   }
-  for (std::size_t j = 0; j < count; ++j) dst[j] = gain(j);
+  if (fill.stamp != 0) return;
   // Diagonal contract: the self entry is +0.0 so kernels can add whole rows
   // without a branch (see file comment in gain_table.h).
   if (u >= begin && u < begin + count) dst[u - begin] = 0.0;
@@ -293,6 +327,20 @@ void GainTable::apply_delta(std::span<const NodeId> dirty,
     tile_stamp_[tile] = now_fresh;  // provably unchanged: restamp, no fill
     ++stats_.freshened;
   }
+}
+
+void GainTable::demote(NodeId u) {
+  if (storage_ == nullptr) return;
+  UDWN_ASSERT(u.value < n_);
+  bool resident = false;
+  for (std::size_t b = 0; b < blocks_; ++b) {
+    const std::uint32_t slot =
+        tile_slot_[static_cast<std::size_t>(u.value) * blocks_ + b];
+    if (slot == kInvalid) continue;
+    lru_to_tail(slot);
+    resident = true;
+  }
+  if (resident) ++stats_.demotions;
 }
 
 const double* GainTable::row_block(NodeId u, std::size_t b) const {

@@ -12,6 +12,13 @@
 //     `budget_bytes`, and evicted in least-recently-ensured order, so any n
 //     gets cache benefits for its per-slot working set (the transmitter
 //     rows) while memory stays bounded;
+//   * a *retired* row goes first: demote(u) moves u's resident tiles to the
+//     eviction end, ahead of every row still in use. The engine retires a
+//     node when its Data-slot probability drops to 0 or it departs — in
+//     LocalBcast a node that ACK certified never transmits again, so its
+//     row is dead, and a least-recently-ensured order alone would keep it
+//     over the live rows it then refills. Retiring changes only which tiles
+//     are recomputed, never a value;
 //   * nothing is allocated before the first plan_rows after a bind. That
 //     call reserves the whole budget at once without writing it, so a
 //     slot's memory becomes resident only when a tile is first filled into
@@ -35,6 +42,10 @@
 // and column v not moved since f means d(u,v), hence the cached gain, is
 // unchanged; every recomputed cell uses the same expression as a full fill.
 //
+// On a EuclideanMetric a fill reads positions directly and evaluates the
+// inline PathLoss::signal(u, v), bit for bit signal(distance(u, v)); other
+// metrics go through the virtual distance.
+//
 // Bit-exactness contract (what makes the cached pipeline identical to the
 // brute-force reference): every entry is produced by the exact expression
 // the uncached kernels evaluate — same doubles in, same libm call — except
@@ -46,8 +57,9 @@
 // current caller does — must not use this table.)
 //
 // Determinism: eviction order depends only on the sequence of ensure_rows
-// calls (source order within a call is the caller's transmitter order),
-// never on thread scheduling; parallel tile fills write disjoint slots.
+// and demote calls (source order within a call is the caller's transmitter
+// order), never on thread scheduling; parallel tile fills write disjoint
+// slots.
 // The patch-or-refill decision is made serially at plan time; fills only
 // read col_version_, so any thread count computes the same cells.
 // Reads (row_block / cell) are const and touch no LRU state, so concurrent
@@ -65,6 +77,8 @@
 #include "phy/pathloss.h"
 
 namespace udwn {
+
+class EuclideanMetric;
 
 class GainTable {
  public:
@@ -148,6 +162,13 @@ class GainTable {
   /// stored zero as a surprise: callers (decode paths) only query u != v.
   [[nodiscard]] const double* cell(NodeId u, std::uint32_t v) const;
 
+  /// Retire source row u: move its resident tiles to the eviction end of
+  /// the LRU order, so the next misses evict them before any other row.
+  /// Contents, stamps, pins and row pointers are unchanged, and a row with
+  /// no resident tile is left alone (no-op, not counted). A later
+  /// ensure_rows of u touches it back to the front like any row.
+  void demote(NodeId u);
+
   /// Delta invalidation: record `new_version` as the last move of every
   /// dirty node (O(|dirty|)), then advance the freshness stamp of every
   /// resident tile that was fresh at `prev_version` and whose entries
@@ -178,6 +199,7 @@ class GainTable {
     std::uint64_t cells = 0;       // gain entries computed by those fills
     std::uint64_t fallbacks = 0;   // ensure_rows over budget -> uncached path
     std::uint64_t freshened = 0;   // tiles restamped by apply_delta (no fill)
+    std::uint64_t demotions = 0;   // rows with resident tiles retired
     std::uint64_t disabled_binds = 0;  // bind() left caching off: the budget
                                        // cannot hold even one row of tiles
   };
@@ -200,10 +222,12 @@ class GainTable {
                                        std::uint64_t since) const;
   std::uint32_t acquire_slot();
   void lru_touch(std::uint32_t slot);
+  void lru_to_tail(std::uint32_t slot);
   void lru_detach(std::uint32_t slot);
 
   Config config_;
   const QuasiMetric* metric_ = nullptr;
+  const EuclideanMetric* euclid_ = nullptr;  // metric_ when Euclidean
   const PathLoss* pathloss_ = nullptr;
 
   std::size_t n_ = 0;

@@ -13,11 +13,6 @@ PathLoss::PathLoss(double power, double zeta, double near_limit)
   UDWN_EXPECT(near_limit > 0);
 }
 
-double PathLoss::signal(double dist) const {
-  const double d = dist < near_limit_ ? near_limit_ : dist;
-  return power_ / std::pow(d, zeta_);
-}
-
 double PathLoss::range_for_signal(double strength) const {
   UDWN_EXPECT(strength > 0);
   return std::pow(power_ / strength, 1.0 / zeta_);

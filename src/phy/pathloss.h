@@ -6,6 +6,10 @@
 // finite).
 #pragma once
 
+#include <cmath>
+
+#include "metric/geometry.h"
+
 namespace udwn {
 
 class PathLoss {
@@ -15,7 +19,19 @@ class PathLoss {
   PathLoss(double power, double zeta, double near_limit);
 
   /// Signal strength P / max(d, near_limit)^ζ.
-  [[nodiscard]] double signal(double dist) const;
+  [[nodiscard]] double signal(double dist) const {
+    const double d = dist < near_limit_ ? near_limit_ : dist;
+    return power_ / std::pow(d, zeta_);
+  }
+
+  /// Signal from a transmitter at `u` to a listener at `v` in the plane:
+  /// P / max(hypot(u − v), near_limit)^ζ, bit for bit
+  /// signal(EuclideanMetric::distance(u, v)) (co-located points give
+  /// hypot(0, 0) = 0, the metric's self distance). Inline so the gain-table
+  /// fill and the far-field near sweep evaluate it without a call per pair.
+  [[nodiscard]] double signal(Vec2 u, Vec2 v) const {
+    return signal(std::hypot(u.x - v.x, u.y - v.y));
+  }
 
   /// Distance at which the signal equals `strength`: (P/strength)^(1/ζ).
   [[nodiscard]] double range_for_signal(double strength) const;

@@ -96,6 +96,12 @@ class TopologyCache {
   /// topology mutations and its first sync().
   UDWN_HOT void apply_delta(const TopologyDelta& delta);
 
+  /// Node u stopped transmitting (its Data-slot probability dropped to 0,
+  /// or it departed): its gain rows are evicted before every other row.
+  /// Residency only — no gain, stamp or pointer changes (see
+  /// GainTable::demote); a no-op while nothing is cached.
+  void demote(NodeId u) { gains_.demote(u); }
+
   /// The tiled gain table bound to this topology, or nullptr when gain
   /// caching is disabled (zero budget, or budget below one row of tiles).
   /// Callers ensure_rows() the slot's transmitters, then read row blocks /

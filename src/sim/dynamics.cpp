@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <utility>
 
 #include "common/contract.h"
@@ -13,38 +14,55 @@ namespace udwn {
 ChurnDynamics::ChurnDynamics(Config config) : config_(std::move(config)) {
   UDWN_EXPECT(config_.arrival_rate >= 0);
   UDWN_EXPECT(config_.departure_rate >= 0);
+  // Sorted and deduplicated, so a sweep in id order can skip pinned ids
+  // with one cursor.
+  std::sort(config_.pinned.begin(), config_.pinned.end());
+  config_.pinned.erase(
+      std::unique(config_.pinned.begin(), config_.pinned.end()),
+      config_.pinned.end());
 }
 
-bool ChurnDynamics::pinned(NodeId v) const {
-  return std::find(config_.pinned.begin(), config_.pinned.end(), v) !=
-         config_.pinned.end();
-}
+// The victim and reborn picks below are count-then-select over the alive
+// mask: the k-th candidate in ascending id order, k = rng.below(count) —
+// the same draw and the same node as indexing a vector of the candidates,
+// without building one (or calling Network::alive per node) every round.
 
 ChangeSet ChurnDynamics::step(Network& network, Rng& rng, Round /*round*/) {
   ChangeSet changes;
+  const std::span<const std::uint8_t> alive = network.alive_mask();
+  const std::vector<NodeId>& pinned = config_.pinned;
 
   departure_credit_ += config_.departure_rate;
   while (departure_credit_ >= 1) {
     departure_credit_ -= 1;
-    std::vector<NodeId> candidates;
-    for (NodeId v : network.alive_nodes())
-      if (!pinned(v)) candidates.push_back(v);
-    if (candidates.empty()) break;
-    const NodeId victim = candidates[rng.below(candidates.size())];
-    network.set_alive(victim, false);
-    changes.departures.push_back(victim);
+    std::size_t live_pinned = 0;
+    for (const NodeId p : pinned)
+      live_pinned += p.value < alive.size() && alive[p.value];
+    const std::size_t count = network.alive_count() - live_pinned;
+    if (count == 0) break;
+    std::size_t k = rng.below(count);
+    auto pin = pinned.begin();
+    std::uint32_t victim = 0;
+    for (;; ++victim) {
+      if (!alive[victim]) continue;
+      while (pin != pinned.end() && pin->value < victim) ++pin;
+      if (pin != pinned.end() && pin->value == victim) continue;
+      if (k-- == 0) break;
+    }
+    network.set_alive(NodeId(victim), false);
+    changes.departures.push_back(NodeId(victim));
   }
 
   arrival_credit_ += config_.arrival_rate;
   while (arrival_credit_ >= 1) {
     arrival_credit_ -= 1;
-    std::vector<NodeId> dead;
-    for (std::size_t v = 0; v < network.size(); ++v) {
-      const NodeId id(static_cast<std::uint32_t>(v));
-      if (!network.alive(id)) dead.push_back(id);
-    }
-    if (dead.empty()) break;
-    const NodeId reborn = dead[rng.below(dead.size())];
+    const std::size_t count = network.size() - network.alive_count();
+    if (count == 0) break;
+    std::size_t k = rng.below(count);
+    std::uint32_t dead = 0;
+    for (;; ++dead)
+      if (!alive[dead] && k-- == 0) break;
+    const NodeId reborn(dead);
     if (config_.placement_extent > 0) {
       if (auto* euclid = dynamic_cast<EuclideanMetric*>(&network.metric())) {
         euclid->set_position(reborn,
@@ -86,8 +104,12 @@ ChangeSet WaypointMobility::step(Network& network, Rng& rng,
   // commit as ONE metric version tick (each still dirty-logged per node),
   // so epoch consumers see one bump per round, not one per mover.
   metric_->begin_update();
-  for (NodeId v : network.alive_nodes()) {
-    if (v.value >= mobile_count) continue;
+  const std::span<const std::uint8_t> alive = network.alive_mask();
+  const std::uint32_t end = std::min(
+      mobile_count, static_cast<std::uint32_t>(alive.size()));
+  for (std::uint32_t i = 0; i < end; ++i) {
+    if (!alive[i]) continue;
+    const NodeId v(i);
     Vec2 pos = metric_->position(v);
     Vec2& target = waypoints_[v.value];
     const Vec2 delta = target - pos;

@@ -63,9 +63,8 @@ class ChurnDynamics final : public Dynamics {
   ChangeSet step(Network& network, Rng& rng, Round round) override;
 
  private:
-  [[nodiscard]] bool pinned(NodeId v) const;
+  Config config_;  // pinned: sorted, deduplicated
 
-  Config config_;
   double arrival_credit_ = 0;
   double departure_credit_ = 0;
 };

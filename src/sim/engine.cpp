@@ -44,6 +44,7 @@ Engine::Engine(const Channel& channel, Network& network,
   clock_progress_.resize(n, 0.0);
   fired_.assign(n, 0);
   last_probability_.assign(n, 0.0);
+  data_live_.assign(n, 0);
   for (std::size_t v = 0; v < n; ++v) {
     node_rng_.push_back(rng_.split());
     if (config_.async) {
@@ -206,6 +207,17 @@ void Engine::run_slot(Slot slot) {
   const std::span<const std::uint8_t> alive = network_->alive_mask();
 
   transmitters_.clear();
+  // A node whose fired Data-slot probability drops to 0, or that departs,
+  // has (in LocalBcast) stopped for good: its gain rows go to the eviction
+  // end of the table. Residency only — no gain or decision changes — and a
+  // node that transmits again simply refills its rows.
+  TopologyCache& cache = workspace_.cache();
+  const auto retire = [&](std::size_t v) {
+    if (!data_live_[v]) return;
+    data_live_[v] = 0;
+    cache.demote(NodeId(static_cast<std::uint32_t>(v)));
+  };
+  const bool data = slot == Slot::Data;
   // Payloads are captured at transmission time: feedback delivery below may
   // mutate protocol state before all receivers have been served. Only this
   // slot's transmitters are written, and only a decoded sender — one of
@@ -213,15 +225,25 @@ void Engine::run_slot(Slot slot) {
   for (std::size_t v = 0; v < n; ++v) {
     const NodeId id(static_cast<std::uint32_t>(v));
     if (!alive[v]) {
-      if (slot == Slot::Data) last_probability_[v] = 0;
+      if (data) {
+        last_probability_[v] = 0;
+        retire(v);
+      }
       continue;
     }
     double p = 0;
     if (fired_[v]) {
       p = protocols_[v]->transmit_probability(slot);
       UDWN_EXPECT(p >= 0 && p <= 1);
+      if (data) {
+        if (p > 0) {
+          data_live_[v] = 1;
+        } else {
+          retire(v);
+        }
+      }
     }
-    if (slot == Slot::Data) last_probability_[v] = p;
+    if (data) last_probability_[v] = p;
     if (p > 0 && node_rng_[v].chance(p)) {
       transmitters_.push_back(id);
       tx_payload_[v] = protocols_[v]->payload(slot);

@@ -122,6 +122,13 @@ class Engine {
   /// Did v's local clock fire in the most recently executed round?
   [[nodiscard]] bool clock_fired(NodeId v) const;
 
+  /// Lifetime statistics of the slot pipeline's gain table (see
+  /// GainTable::Stats); with an Obs handle most also reach the registry as
+  /// per-round deltas.
+  [[nodiscard]] const GainTable::Stats& gain_stats() const {
+    return workspace_.cache().gains_storage().stats();
+  }
+
  private:
   UDWN_HOT void run_slot(Slot slot);
 
@@ -139,6 +146,10 @@ class Engine {
   std::vector<double> clock_progress_;  // fractional local round counter
   std::vector<std::uint8_t> fired_;     // clock fired this round
   std::vector<double> last_probability_;
+  // 1 while the node's last fired Data slot had p > 0; its drop to p = 0
+  // (or a departure) retires the node's gain rows. A flag, not
+  // last_probability_, because that reads 0 on slots the clock skipped.
+  std::vector<std::uint8_t> data_live_;
   Round round_ = 0;
 
   // Slot-pipeline workspace: all per-slot buffers live here (not in

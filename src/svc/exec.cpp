@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -147,10 +148,11 @@ TrialRecord run_trial(const RunRequest& request, const ExecConfig& exec,
     if (request.inject == FaultInjection::kContract && rounds >= 3)
       UDWN_EXPECT(request.inject != FaultInjection::kContract);
     all_done = true;
+    // One mask read per round: Network::alive is out of line.
+    const std::span<const std::uint8_t> alive = scenario.network().alive_mask();
     for (std::uint32_t i = 0; i < n; ++i) {
-      const NodeId id{i};
-      if (!scenario.network().alive(id)) continue;
-      if (!node_done(engine.protocol(id), request.protocol)) {
+      if (!alive[i]) continue;
+      if (!node_done(engine.protocol(NodeId{i}), request.protocol)) {
         all_done = false;
         break;
       }

@@ -28,10 +28,13 @@ constexpr const char* kTrialsCancelled = "svc.trials_cancelled";
 /// One worker = one thread + one long-lived trial pool + one private Obs.
 /// The Obs registry is written shard-locally by that worker's engines and
 /// pool; `folded` tracks the last snapshot already folded into the shared
-/// StatusBoard (see obs/status.h for the quiescence argument).
+/// StatusBoard (see obs/status.h for the quiescence argument). The handle
+/// keeps counters only: `status` folds the registry and nothing reads a
+/// trace ring, so events stay off.
 struct ScenarioService::Worker {
   explicit Worker(const ServiceConfig& config)
-      : runner(BatchConfig{.threads = config.trial_threads}) {}
+      : runner(BatchConfig{.threads = config.trial_threads}),
+        obs(ObsConfig{.events = false}) {}
 
   BatchRunner runner;
   Obs obs;

@@ -1,5 +1,5 @@
-// Steady-state allocation and trace-equivalence tests for the engine's
-// slot-pipeline workspace.
+// Steady-state allocation, trace-equivalence and gain-row retirement tests
+// for the engine's slot-pipeline workspace.
 //
 // The tentpole claim "zero allocation in a steady-state slot" is enforced
 // with a counting global operator new/delete: after a warm-up round sizes
@@ -18,6 +18,7 @@
 #include "analysis/determinism.h"
 #include "analysis/runner.h"
 #include "analysis/scenario.h"
+#include "core/local_broadcast.h"
 #include "obs/obs.h"
 #include "sim/engine.h"
 #include "tests/helpers.h"
@@ -333,6 +334,101 @@ TEST(EngineWorkspace, PipelineConfigurationsShareOneTrace) {
   Obs obs_threaded;
   EXPECT_EQ(reference, engine_trace_hash(EngineConfig{
                            .seed = 3, .threads = 2, .obs = &obs_threaded}));
+}
+
+// Retiring dead gain rows. A static LocalBcast solve at n = 512 with
+// 64-column tiles (8 blocks per row); a node stops for good once ACK
+// certifies it, and the engine then retires its rows.
+constexpr std::size_t kSolveNodes = 512;
+constexpr std::size_t kSolveTileCols = 64;
+constexpr std::size_t kSolveBlocks = kSolveNodes / kSolveTileCols;
+
+struct SolveRun {
+  GainTable::Stats stats;
+  std::uint64_t hash = 0;
+  Round rounds = 0;
+};
+
+SolveRun local_bcast_solve(std::size_t budget_rows, bool async = false) {
+  const double extent = std::sqrt(static_cast<double>(kSolveNodes) / 8.0);
+  Scenario scenario(test::random_points(kSolveNodes, extent, 8110),
+                    test::default_config());
+  auto protocols = make_protocols(kSolveNodes, [](NodeId) {
+    return std::make_unique<LocalBcastProtocol>(
+        TryAdjust::standard(kSolveNodes, 1.0));
+  });
+  const CarrierSensing sensing = scenario.sensing_local();
+  Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
+                EngineConfig{.slots_per_round = 1,
+                             .async = async,
+                             .seed = 8111,
+                             .gain_budget_bytes = budget_rows * kSolveBlocks *
+                                                  kSolveTileCols *
+                                                  sizeof(double),
+                             .gain_tile_cols = kSolveTileCols});
+  TraceHashRecorder recorder;
+  engine.set_recorder(&recorder);
+  const auto solved = engine.run_until(
+      [](const Engine& e) {
+        for (std::uint32_t v = 0; v < kSolveNodes; ++v)
+          if (!e.protocol(NodeId(v)).finished()) return false;
+        return true;
+      },
+      20000);
+  EXPECT_TRUE(solved.has_value());
+  return SolveRun{engine.gain_stats(), recorder.final_hash(),
+                  solved.value_or(-1)};
+}
+
+TEST(GainRowRetirement, StaticLocalBcastFillsEachTileOnce) {
+  // 192 rows of budget hold the rows still transmitting at any time but
+  // not all 512: retiring the finished nodes' rows first means no live row
+  // is ever evicted, so every tile is filled exactly once per solve.
+  // Residency never changes a gain, so the trace equals the all-rows run.
+  const SolveRun tight = local_bcast_solve(192);
+  const SolveRun all_rows = local_bcast_solve(kSolveNodes);
+  EXPECT_EQ(tight.stats.fills, kSolveNodes * kSolveBlocks);
+  EXPECT_GT(tight.stats.evictions, 0u);
+  EXPECT_EQ(tight.stats.fallbacks, 0u);
+  EXPECT_EQ(all_rows.stats.fills, kSolveNodes * kSolveBlocks);
+  EXPECT_EQ(all_rows.stats.evictions, 0u);
+  EXPECT_EQ(tight.hash, all_rows.hash);
+  EXPECT_EQ(tight.rounds, all_rows.rounds);
+  // Every finished node but the last round's is retired while resident.
+  EXPECT_GE(tight.stats.demotions, kSolveNodes - 8);
+  EXPECT_LT(tight.stats.demotions, kSolveNodes);
+}
+
+TEST(GainRowRetirement, UnfiredAsyncSlotsRetireNothing) {
+  // A fixed p > 0 never drops to 0, so no row may be retired. Async clocks
+  // with drift bound 4 skip most rounds, and an unfired node takes no
+  // probability (last_probability reads 0): those slots must not count as
+  // the node going quiet.
+  Scenario scenario(test::random_points(64, 3.0, 8112),
+                    test::default_config());
+  auto protocols = make_protocols(scenario.network().size(), [](NodeId) {
+    return std::make_unique<FixedProbabilityProtocol>(0.3);
+  });
+  const CarrierSensing sensing = scenario.sensing_local();
+  Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
+                EngineConfig{.async = true, .drift_bound = 4.0, .seed = 8113});
+  std::size_t unfired = 0;
+  for (int r = 0; r < 30; ++r) {
+    engine.step();
+    for (std::uint32_t v = 0; v < 64; ++v)
+      unfired += !engine.clock_fired(NodeId(v));
+  }
+  EXPECT_GT(unfired, 30u * 64u / 4u);
+  EXPECT_GT(engine.gain_stats().fills, 0u);
+  EXPECT_EQ(engine.gain_stats().evictions, 0u);
+  EXPECT_EQ(engine.gain_stats().demotions, 0u);
+
+  // An async LocalBcast solve still retires each finished node on its next
+  // fired slot, and still fills each tile once.
+  const SolveRun tight = local_bcast_solve(192, /*async=*/true);
+  EXPECT_EQ(tight.stats.fills, kSolveNodes * kSolveBlocks);
+  EXPECT_GE(tight.stats.demotions, kSolveNodes - 8);
+  EXPECT_EQ(tight.hash, local_bcast_solve(kSolveNodes, true).hash);
 }
 
 }  // namespace

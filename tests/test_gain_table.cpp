@@ -92,6 +92,62 @@ TEST(GainTable, EvictsLeastRecentlyEnsuredRows) {
   EXPECT_EQ(stats.fallbacks, 0u);
 }
 
+TEST(GainTable, DemotedRowsAreEvictedFirstAndKeepTheirContents) {
+  // n = 8, 4-column tiles → 2 blocks/row; budget for 3 resident rows.
+  EuclideanMetric metric(test::random_points(8, 3.0, 616));
+  const PathLoss pl(1.0, 3.0, 1e-3);
+  GainTable gains(tiny_tiles(4, 6));
+  gains.bind(metric, pl);
+  gains.demote(NodeId(0));  // nothing allocated yet: a no-op
+  for (const std::uint32_t u : {0u, 1u, 2u})
+    ASSERT_TRUE(gains.ensure_rows(ids({u}), nullptr));
+  EXPECT_EQ(gains.resident_tiles(), 6u);
+
+  // Demoting row 1 moves neither its storage nor its gains.
+  std::vector<const double*> row1;
+  std::vector<double> row1_gains;
+  for (std::size_t b = 0; b < 2; ++b) {
+    row1.push_back(gains.row_block(NodeId(1), b));
+    row1_gains.insert(row1_gains.end(), row1[b], row1[b] + 4);
+  }
+  gains.demote(NodeId(1));
+  EXPECT_EQ(gains.stats().demotions, 1u);
+  for (std::size_t b = 0; b < 2; ++b) {
+    ASSERT_EQ(gains.row_block(NodeId(1), b), row1[b]);
+    for (std::size_t j = 0; j < 4; ++j)
+      EXPECT_EQ(row1[b][j], row1_gains[4 * b + j]);
+  }
+
+  // Row 3 evicts the demoted row 1, not row 0, the least recently ensured.
+  ASSERT_TRUE(gains.ensure_rows(ids({3}), nullptr));
+  EXPECT_EQ(gains.row_block(NodeId(1), 0), nullptr);
+  EXPECT_EQ(gains.row_block(NodeId(1), 1), nullptr);
+  EXPECT_NE(gains.row_block(NodeId(0), 0), nullptr);
+  EXPECT_NE(gains.row_block(NodeId(0), 1), nullptr);
+
+  // Rows with no resident tile are no-ops: neither counted nor reordering.
+  gains.demote(NodeId(1));
+  gains.demote(NodeId(6));
+  EXPECT_EQ(gains.stats().demotions, 1u);
+  ASSERT_TRUE(gains.ensure_rows(ids({4}), nullptr));
+  EXPECT_EQ(gains.row_block(NodeId(0), 0), nullptr);  // plain LRU again
+  EXPECT_NE(gains.row_block(NodeId(2), 0), nullptr);
+
+  // A demoted row ensured again is touched back to the front like any row.
+  gains.demote(NodeId(2));
+  ASSERT_TRUE(gains.ensure_rows(ids({2}), nullptr));
+  ASSERT_TRUE(gains.ensure_rows(ids({5}), nullptr));
+  EXPECT_NE(gains.row_block(NodeId(2), 0), nullptr);
+  EXPECT_EQ(gains.row_block(NodeId(3), 0), nullptr);
+  EXPECT_EQ(gains.stats().demotions, 2u);
+  EXPECT_EQ(gains.stats().fills, 12u);
+  for (const std::uint32_t u : {2u, 4u, 5u})
+    for (std::uint32_t v = 0; v < 8; ++v)
+      EXPECT_EQ(*gains.cell(NodeId(u), v),
+                u == v ? 0.0
+                       : pl.signal(metric.distance(NodeId(u), NodeId(v))));
+}
+
 TEST(GainTable, OverCommittedEnsureFailsAndLeavesTableConsistent) {
   // Budget of 4 tiles cannot pin 3 rows × 2 tiles at once; ensure_rows must
   // report failure, and a subsequent within-budget call must succeed with

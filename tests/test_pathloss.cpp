@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "metric/euclidean.h"
+#include "tests/helpers.h"
 
 namespace udwn {
 namespace {
@@ -54,6 +60,29 @@ TEST(PathLoss, ZetaControlsDecayRate) {
   // Inside distance 1, steeper exponent is stronger.
   EXPECT_GT(steep.signal(0.5), shallow.signal(0.5));
   EXPECT_DOUBLE_EQ(steep.signal(1.0), shallow.signal(1.0));
+}
+
+TEST(PathLoss, PlanarSignalIsSignalOfEuclideanDistanceBitForBit) {
+  // The inline signal(u, v) that gain-table fills and the far-field near
+  // sweep evaluate must be the metric path's double exactly: across random
+  // pairs, a co-located pair (the metric's u == v shortcut returns 0, the
+  // planar form hypot(0, 0)) and pairs inside the near-limit clamp.
+  std::vector<Vec2> pts = test::random_points(40, 6.0, 701);
+  pts.push_back(pts[3]);                          // co-located with 3
+  pts.push_back(pts[5] + Vec2{2e-4, -3e-4});      // inside the clamp of 5
+  pts.push_back(pts[7] + Vec2{1e-3, 0.0});        // exactly at the clamp
+  const EuclideanMetric metric(pts);
+  const PathLoss pl(2.0, 2.7, 1e-3);
+  for (std::uint32_t u = 0; u < pts.size(); ++u)
+    for (std::uint32_t v = 0; v < pts.size(); ++v) {
+      const double planar = pl.signal(pts[u], pts[v]);
+      const double reference = pl.signal(metric.distance(NodeId(u), NodeId(v)));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(planar),
+                std::bit_cast<std::uint64_t>(reference))
+          << "pair (" << u << ", " << v << ")";
+    }
+  EXPECT_EQ(pl.signal(pts[3], pts.end()[-3]), pl.signal(0.0));
+  EXPECT_EQ(pl.signal(pts[5], pts.end()[-2]), pl.signal(1e-3));
 }
 
 }  // namespace
