@@ -17,6 +17,7 @@ class AlohaLocalBcastProtocol final : public Protocol {
   void on_start() override;
   [[nodiscard]] double transmit_probability(Slot slot) override;
   void on_slot(const SlotFeedback& feedback) override;
+  [[nodiscard]] bool isolated() const override { return true; }
   [[nodiscard]] bool finished() const override { return delivered_; }
 
   [[nodiscard]] std::int64_t rounds_to_delivery() const {

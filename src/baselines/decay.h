@@ -31,6 +31,7 @@ class DecayLocalBcastProtocol final : public Protocol {
   void on_start() override;
   [[nodiscard]] double transmit_probability(Slot slot) override;
   void on_slot(const SlotFeedback& feedback) override;
+  [[nodiscard]] bool isolated() const override { return true; }
   [[nodiscard]] bool finished() const override { return delivered_; }
 
   [[nodiscard]] std::int64_t rounds_to_delivery() const {
@@ -56,6 +57,7 @@ class DecayBroadcastProtocol final : public Protocol {
   void on_start() override;
   [[nodiscard]] double transmit_probability(Slot slot) override;
   void on_slot(const SlotFeedback& feedback) override;
+  [[nodiscard]] bool isolated() const override { return true; }
 
   [[nodiscard]] bool informed() const { return informed_; }
   [[nodiscard]] std::int64_t informed_round() const { return informed_round_; }

@@ -22,6 +22,7 @@ class JammerProtocol final : public Protocol {
   void on_start() override {}
   [[nodiscard]] double transmit_probability(Slot slot) override;
   void on_slot(const SlotFeedback&) override {}
+  [[nodiscard]] bool isolated() const override { return true; }
 
  private:
   double q_;

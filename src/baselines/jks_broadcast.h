@@ -43,6 +43,7 @@ class JksBroadcastProtocol final : public Protocol {
   /// ends), so traces are bit-identical across engine seeds.
   [[nodiscard]] double transmit_probability(Slot slot) override;
   void on_slot(const SlotFeedback& feedback) override;
+  [[nodiscard]] bool isolated() const override { return true; }
 
   [[nodiscard]] bool informed() const { return informed_; }
   /// Local round at which the node became informed; 0 for sources, -1 while

@@ -44,6 +44,7 @@ class OpportunisticDisseminationProtocol final : public Protocol {
   void on_start() override;
   [[nodiscard]] double transmit_probability(Slot slot) override;
   void on_slot(const SlotFeedback& feedback) override;
+  [[nodiscard]] bool isolated() const override { return true; }
 
   [[nodiscard]] bool informed() const { return informed_; }
   /// Local round at which the node became informed; 0 for sources, -1 while

@@ -13,8 +13,20 @@
 // The dispatch path performs no heap allocation (plain function pointer +
 // context, no std::function), so a steady-state engine slot stays
 // allocation-free with threads > 1.
+//
+// Dispatch is spin-then-park. The job handoff itself stays under the mutex,
+// but an idle worker first polls an atomic copy of the job generation for a
+// bounded number of CPU-relax instructions before it blocks on the condition
+// variable, and a joining caller polls an atomic copy of the pending-chunk
+// count the same way. A slot runs several short fork/joins back to back
+// with serial gaps of tens of microseconds between them; a parked worker
+// needs a futex wake-up (~20 µs) for each, a spinning one sees the next job
+// at once. The spin never reads a clock (timing stays out of src/common), is
+// skipped when the host has fewer hardware threads than the pool, and
+// cannot change chunk boundaries or results.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -78,8 +90,8 @@ class TaskPool {
 
   /// Lifetime scheduling statistics. Job/chunk counts are always kept (the
   /// increments ride on locks run() takes anyway); the wall-clock fields
-  /// need set_collect_stats(true, now_ns) because they time every
-  /// condition-variable wait. The clock is *injected*: src/common sits at
+  /// need set_collect_stats(true, now_ns) because they time every wait,
+  /// spinning and parked alike. The clock is *injected*: src/common sits at
   /// the bottom of the layering DAG and must not include src/obs, so the
   /// observability layer passes its own obs_now_ns when it turns stats on
   /// (see SlotWorkspace). Timing is observability-only — it can never
@@ -87,8 +99,8 @@ class TaskPool {
   struct Stats {
     std::uint64_t jobs = 0;            // run() calls that dispatched work
     std::uint64_t chunks = 0;          // chunks executed across all jobs
-    std::uint64_t worker_idle_ns = 0;  // workers blocked waiting for a job
-    std::uint64_t caller_wait_ns = 0;  // callers blocked in run()'s join
+    std::uint64_t worker_idle_ns = 0;  // workers waiting for a job
+    std::uint64_t caller_wait_ns = 0;  // callers waiting in run()'s join
   };
   using NowNsFn = std::uint64_t (*)();
   void set_collect_stats(bool collect, NowNsFn now_ns = nullptr);
@@ -121,9 +133,18 @@ class TaskPool {
   std::size_t error_chunk_ = 0;
   std::uint64_t generation_ = 0;
   bool stop_ = false;
-  bool collect_stats_ = false;  // guarded by mutex_
-  NowNsFn now_ns_ = nullptr;    // guarded by mutex_; set with collect_stats_
-  Stats stats_;                 // guarded by mutex_ (threads > 1)
+  // Copies of generation_ and pending_, stored under mutex_ whenever those
+  // change, for the lock-free spin phase of a wait. A waiter that sees the
+  // awaited value still takes mutex_ before it reads any job state.
+  std::atomic<std::uint64_t> spin_generation_{0};
+  std::atomic<std::size_t> spin_pending_{0};
+  // CPU-relax iterations a waiter spins before parking; 0 when the host has
+  // fewer hardware threads than the pool.
+  int spin_limit_ = 0;
+  // Stats clock; null unless set_collect_stats(true, ...). Atomic because
+  // waiters read it before taking mutex_.
+  std::atomic<NowNsFn> now_ns_{nullptr};
+  Stats stats_;  // guarded by mutex_ (threads > 1)
 };
 
 }  // namespace udwn

@@ -55,6 +55,7 @@ class BcastProtocol final : public Protocol {
   void on_start() override;
   [[nodiscard]] double transmit_probability(Slot slot) override;
   void on_slot(const SlotFeedback& feedback) override;
+  [[nodiscard]] bool isolated() const override { return true; }
   [[nodiscard]] bool finished() const override {
     return stop_reason_ != StopReason::None;
   }

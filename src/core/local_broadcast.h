@@ -21,6 +21,7 @@ class LocalBcastProtocol final : public Protocol {
   void on_start() override;
   [[nodiscard]] double transmit_probability(Slot slot) override;
   void on_slot(const SlotFeedback& feedback) override;
+  [[nodiscard]] bool isolated() const override { return true; }
   [[nodiscard]] bool finished() const override { return delivered_; }
   /// 0 = contending, 1 = ACK-confirmed delivery.
   [[nodiscard]] std::uint32_t obs_state() const override {

@@ -46,6 +46,9 @@ class MacLayerProtocol final : public Protocol {
   void on_start() override;
   [[nodiscard]] double transmit_probability(Slot slot) override;
   [[nodiscard]] std::uint32_t payload(Slot slot) const override;
+  /// Not isolated() (the default): on_slot runs the ack/deliver callbacks,
+  /// which may capture state shared across nodes, so its sweeps stay
+  /// serial.
   void on_slot(const SlotFeedback& feedback) override;
 
  private:

@@ -36,6 +36,7 @@ class MultiMessageBcastProtocol final : public Protocol {
   [[nodiscard]] double transmit_probability(Slot slot) override;
   [[nodiscard]] std::uint32_t payload(Slot slot) const override;
   void on_slot(const SlotFeedback& feedback) override;
+  [[nodiscard]] bool isolated() const override { return true; }
   [[nodiscard]] bool finished() const override;
 
   /// Bitmask of received messages (bit m-1 = message m).

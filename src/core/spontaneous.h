@@ -40,6 +40,7 @@ class DominatorFloodProtocol final : public Protocol {
   void on_start() override;
   [[nodiscard]] double transmit_probability(Slot slot) override;
   void on_slot(const SlotFeedback& feedback) override;
+  [[nodiscard]] bool isolated() const override { return true; }
   [[nodiscard]] bool finished() const override { return done_; }
 
   [[nodiscard]] bool informed() const { return informed_; }
@@ -73,6 +74,7 @@ class OverlappedSpontaneousProtocol final : public Protocol {
   [[nodiscard]] double transmit_probability(Slot slot) override;
   [[nodiscard]] std::uint32_t payload(Slot slot) const override;
   void on_slot(const SlotFeedback& feedback) override;
+  [[nodiscard]] bool isolated() const override { return true; }
   [[nodiscard]] bool finished() const override;
 
   [[nodiscard]] bool informed() const { return informed_; }

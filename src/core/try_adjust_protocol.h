@@ -19,6 +19,7 @@ class TryAdjustProtocol final : public Protocol {
   void on_start() override;
   [[nodiscard]] double transmit_probability(Slot slot) override;
   void on_slot(const SlotFeedback& feedback) override;
+  [[nodiscard]] bool isolated() const override { return true; }
 
   [[nodiscard]] double probability() const { return controller_.probability(); }
 

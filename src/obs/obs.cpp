@@ -27,6 +27,10 @@ Obs::Obs(ObsConfig config)
   ids_.pool_wait_ns = metrics_.counter("task_pool.caller_wait_ns");
   ids_.hist_contention = metrics_.histogram("engine.contention_per_slot");
   ids_.hist_deliveries = metrics_.histogram("engine.deliveries_per_slot");
+  ids_.hist_stage_dynamics = metrics_.histogram("engine.stage.dynamics_ns");
+  ids_.hist_stage_sample = metrics_.histogram("engine.stage.sample_ns");
+  ids_.hist_stage_resolve = metrics_.histogram("engine.stage.resolve_ns");
+  ids_.hist_stage_feedback = metrics_.histogram("engine.stage.feedback_ns");
 }
 
 Trace Obs::snapshot() const {

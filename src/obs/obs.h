@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -76,6 +77,13 @@ struct EngineCounterIds {
   // Histograms.
   MetricId hist_contention = kInvalidMetric;  // transmitters per data slot
   MetricId hist_deliveries = kInvalidMetric;  // deliveries per data slot
+  // Stage wall times in nanoseconds (StageTimer, engine thread): the
+  // dynamics step plus topology delta once per round, and the transmitter
+  // sampling sweep, resolve_into and the feedback sweep once per slot.
+  MetricId hist_stage_dynamics = kInvalidMetric;
+  MetricId hist_stage_sample = kInvalidMetric;
+  MetricId hist_stage_resolve = kInvalidMetric;
+  MetricId hist_stage_feedback = kInvalidMetric;
 };
 
 class Obs {
@@ -106,6 +114,28 @@ class Obs {
   MetricsRegistry metrics_;
   TraceSink trace_;
   EngineCounterIds ids_;
+};
+
+/// Records the wall time of its scope, in nanoseconds, into the stage
+/// histogram `stage` of `obs`'s registry; inert when `obs` is null. The
+/// clock read lives here so that the simulation layers time their stages
+/// without reading a clock themselves (see clock.h). Observability only:
+/// nothing reads the histograms back into a decision.
+class StageTimer {
+ public:
+  StageTimer(Obs* obs, MetricId EngineCounterIds::*stage)
+      : obs_(obs), stage_(stage), begin_(obs != nullptr ? obs_now_ns() : 0) {}
+  ~StageTimer() {
+    if (obs_ != nullptr)
+      obs_->metrics().record(obs_->ids().*stage_, obs_now_ns() - begin_);
+  }
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+
+ private:
+  Obs* obs_;
+  MetricId EngineCounterIds::*stage_;
+  std::uint64_t begin_;
 };
 
 }  // namespace udwn

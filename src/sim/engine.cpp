@@ -1,5 +1,6 @@
 #include "sim/engine.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/contract.h"
@@ -37,7 +38,6 @@ Engine::Engine(const Channel& channel, Network& network,
   network.set_track_changes(true);
 
   const std::size_t n = network.size();
-  transmitters_.reserve(n);
   tx_payload_.assign(n, 0);
   node_rng_.reserve(n);
   clock_rate_.resize(n, 1.0);
@@ -57,6 +57,29 @@ Engine::Engine(const Channel& channel, Network& network,
     UDWN_EXPECT(protocols_[v] != nullptr);
     if (network.alive(NodeId(static_cast<std::uint32_t>(v))))
       protocols_[v]->on_start();
+  }
+  // Shard the per-node sweeps only when every protocol declares isolation;
+  // churn restarts these same objects, so the answer holds for the run.
+  // Chunk buffers are reserved here, to their chunk's length.
+  TaskPool* const pool = workspace_.pool();
+  bool isolated = pool != nullptr;
+  for (std::size_t v = 0; isolated && v < n; ++v)
+    isolated = protocols_[v]->isolated();
+  if (isolated) {
+    sweep_pool_ = pool;
+    sweep_chunks_.resize(static_cast<std::size_t>(pool->threads()));
+    transmitters_.reserve(n);
+    sweep_probability_.assign(n, 0.0);
+  } else {
+    sweep_chunks_.resize(1);
+  }
+  const std::size_t chunk_length =
+      (n + sweep_chunks_.size() - 1) / sweep_chunks_.size();
+  const bool events = config_.obs != nullptr && config_.obs->events_enabled();
+  for (SweepChunk& chunk : sweep_chunks_) {
+    chunk.transmitters.reserve(chunk_length);
+    if (sweep_pool_ != nullptr) chunk.retired.reserve(chunk_length);
+    if (events) chunk.receivers.resize(chunk_length);
   }
   if (config_.obs != nullptr && config_.obs->config().state_transitions) {
     // Baseline for state-transition events: the post-on_start states.
@@ -87,36 +110,24 @@ bool Engine::clock_fired(NodeId v) const {
 void Engine::step() {
   const std::size_t n = network_->size();
 
-  if (dynamics_ != nullptr) {
-    const ChangeSet changes = dynamics_->step(*network_, rng_, round_);
-    // Arrivals restart from the protocol's initial configuration (Sec. 2).
-    for (NodeId v : changes.arrivals) protocols_[v.value]->on_start();
+  {
+    StageTimer timer(config_.obs, &EngineCounterIds::hist_stage_dynamics);
+    if (dynamics_ != nullptr) {
+      const ChangeSet changes = dynamics_->step(*network_, rng_, round_);
+      // Arrivals restart from the protocol's initial configuration (Sec. 2).
+      for (NodeId v : changes.arrivals) protocols_[v.value]->on_start();
+    }
+
+    // Delta fast path: hand the round's TopologyDelta to the caches while
+    // the previous round's stamps are still comparable (before any slot
+    // syncs the new epoch). Quiet rounds produce an empty delta and the
+    // call is a handful of compares — the static-scenario trace is
+    // untouched.
+    workspace_.cache().apply_delta(network_->collect_delta());
   }
 
-  // Delta fast path: hand the round's TopologyDelta to the caches while
-  // the previous round's stamps are still comparable (before any slot
-  // syncs the new epoch). Quiet rounds produce an empty delta and the call
-  // is a handful of compares — the static-scenario trace is untouched.
-  workspace_.cache().apply_delta(network_->collect_delta());
-
-  // Advance local clocks. The per-node sweeps read the alive mask directly:
-  // Network::alive is out of line, a call per node.
-  const std::span<const std::uint8_t> alive = network_->alive_mask();
-  for (std::size_t v = 0; v < n; ++v) {
-    if (!alive[v]) {
-      fired_[v] = 0;
-      continue;
-    }
-    if (!config_.async) {
-      fired_[v] = 1;
-      continue;
-    }
-    const double before = clock_progress_[v];
-    clock_progress_[v] += clock_rate_[v];
-    fired_[v] = static_cast<std::uint8_t>(std::floor(clock_progress_[v]) >
-                                          std::floor(before));
-  }
-
+  // Slot 0 is the Data slot; its sampling sweep also advances the local
+  // clocks (see sample_sweep).
   for (int s = 0; s < config_.slots_per_round; ++s)
     run_slot(static_cast<Slot>(s));
 
@@ -202,34 +213,74 @@ void Engine::publish_round_obs(std::uint64_t transitions,
       .value = transitions});
 }
 
-void Engine::run_slot(Slot slot) {
+template <typename Body>
+void Engine::for_each_sweep_chunk(const Body& body) {
   const std::size_t n = network_->size();
-  const std::span<const std::uint8_t> alive = network_->alive_mask();
+  if (sweep_pool_ == nullptr) {
+    body(std::size_t{0}, n, sweep_chunks_[0]);
+    return;
+  }
+  // Chunk c covers ids [c·length, (c+1)·length) ∩ [0, n): one pool chunk
+  // per SweepChunk, so a chunk's buffers are touched by one thread a job.
+  const std::size_t chunks = sweep_chunks_.size();
+  const std::size_t length = (n + chunks - 1) / chunks;
+  auto run = [&](std::size_t first, std::size_t last) {
+    for (std::size_t c = first; c < last; ++c)
+      body(std::min(n, c * length), std::min(n, (c + 1) * length),
+           sweep_chunks_[c]);
+  };
+  sweep_pool_->run_chunks(0, chunks, run);
+}
 
-  transmitters_.clear();
+void Engine::sample_sweep(std::size_t lo, std::size_t hi, Slot slot,
+                          double* probability, SweepChunk& out) {
+  // The sweeps read the alive mask directly: Network::alive is out of line,
+  // a call per node.
+  const std::span<const std::uint8_t> alive = network_->alive_mask();
+  const bool data = slot == Slot::Data;
   // A node whose fired Data-slot probability drops to 0, or that departs,
   // has (in LocalBcast) stopped for good: its gain rows go to the eviction
   // end of the table. Residency only — no gain or decision changes — and a
-  // node that transmits again simply refills its rows.
+  // node that transmits again simply refills its rows. A chunk on the pool
+  // only lists the node; run_slot demotes the lists after the sweep.
   TopologyCache& cache = workspace_.cache();
-  const auto retire = [&](std::size_t v) {
-    if (!data_live_[v]) return;
-    data_live_[v] = 0;
-    cache.demote(NodeId(static_cast<std::uint32_t>(v)));
+  std::vector<NodeId>& retired = out.retired;
+  std::vector<NodeId>& tx = out.transmitters;
+  retired.clear();
+  tx.clear();
+  const auto retire = [&](NodeId id) {
+    if (!data_live_[id.value]) return;
+    data_live_[id.value] = 0;
+    if (sweep_pool_ == nullptr) {
+      cache.demote(id);
+    } else {
+      retired.push_back(id);  // udwn-lint: allow(hot-path-alloc): reserved
+    }
   };
-  const bool data = slot == Slot::Data;
-  // Payloads are captured at transmission time: feedback delivery below may
+  // Payloads are captured at transmission time: feedback delivery may
   // mutate protocol state before all receivers have been served. Only this
   // slot's transmitters are written, and only a decoded sender — one of
   // them — is read, so stale entries of earlier slots are never seen.
-  for (std::size_t v = 0; v < n; ++v) {
+  for (std::size_t v = lo; v < hi; ++v) {
     const NodeId id(static_cast<std::uint32_t>(v));
     if (!alive[v]) {
       if (data) {
-        last_probability_[v] = 0;
-        retire(v);
+        fired_[v] = 0;
+        probability[v] = 0;
+        retire(id);
       }
       continue;
+    }
+    if (data) {
+      // Advance the local clock: once per round, before any slot reads it.
+      if (config_.async) {
+        const double before = clock_progress_[v];
+        clock_progress_[v] += clock_rate_[v];
+        fired_[v] = static_cast<std::uint8_t>(
+            std::floor(clock_progress_[v]) > std::floor(before));
+      } else {
+        fired_[v] = 1;
+      }
     }
     double p = 0;
     if (fired_[v]) {
@@ -239,39 +290,29 @@ void Engine::run_slot(Slot slot) {
         if (p > 0) {
           data_live_[v] = 1;
         } else {
-          retire(v);
+          retire(id);
         }
       }
     }
-    if (data) last_probability_[v] = p;
+    if (data) probability[v] = p;
     if (p > 0 && node_rng_[v].chance(p)) {
-      transmitters_.push_back(id);
+      tx.push_back(id);  // udwn-lint: allow(hot-path-alloc): reserve-backed
       tx_payload_[v] = protocols_[v]->payload(slot);
     }
   }
+}
 
-  const double power_scale =
-      slot == Slot::Notify ? config_.notify_power_scale : 1.0;
-  // Tag worker-emitted shard spans with this slot's position (pure
-  // observability; resolve_into never reads it for any decision).
-  if (config_.obs != nullptr)
-    workspace_.set_obs_slot(static_cast<std::uint32_t>(round_),
-                            static_cast<std::uint8_t>(slot));
-  const SlotOutcome& outcome =
-      channel_->resolve_into(transmitters_, alive, power_scale,
-                             network_->topology_epoch(), workspace_);
+void Engine::feedback_sweep(std::size_t lo, std::size_t hi, Slot slot,
+                            const SlotOutcome& outcome, SweepChunk& out) {
+  const std::span<const std::uint8_t> alive = network_->alive_mask();
   const std::span<const std::uint8_t> is_tx = workspace_.transmitting();
-
   const QuasiMetric& metric = channel_->metric();
   const bool count_obs = config_.obs != nullptr;
-  // Inert unless events are on: binding the thread ring once per slot keeps
-  // the per-delivery emit below to a bounds check and a 24-byte store.
-  TraceSink::Writer writer;
-  if (count_obs && config_.obs->events_enabled())
-    writer = config_.obs->trace().writer();
+  NodeId* const receivers =
+      out.receivers.empty() ? nullptr : out.receivers.data();
   std::uint64_t deliveries = 0;
   std::uint64_t collisions = 0;
-  for (std::size_t v = 0; v < n; ++v) {
+  for (std::size_t v = lo; v < hi; ++v) {
     const NodeId id(static_cast<std::uint32_t>(v));
     if (!alive[v]) continue;
     SlotFeedback fb;
@@ -282,7 +323,7 @@ void Engine::run_slot(Slot slot) {
     fb.busy = sensing_->busy(outcome.interference[v]);
     fb.ack = transmitted && sensing_->ack(outcome.interference[v]);
     const NodeId sender = outcome.decoded_from[v];
-    UDWN_ASSERT(!sender.valid() || sender.value < n);
+    UDWN_ASSERT(!sender.valid() || sender.value < tx_payload_.size());
     fb.received = sender.valid();
     fb.sender = sender;
     fb.payload = fb.received ? tx_payload_[sender.value] : 0;
@@ -293,29 +334,112 @@ void Engine::run_slot(Slot slot) {
       // of outcome arrays per slot at n = 2048. Branchless on purpose: the
       // collision predicate (a listener that sensed energy but decoded
       // nothing) holds for roughly half the nodes of a contended slot and
-      // a branch would mispredict its way through the loop. Only the
-      // delivery emit keeps a branch (~12% taken).
+      // a branch would mispredict its way through the loop. For the same
+      // reason the receivers for run_slot's delivery events are compacted
+      // by a store at the count, which advances only on a reception.
+      if (receivers != nullptr) receivers[deliveries] = id;
       deliveries += static_cast<std::uint64_t>(fb.received);
       collisions += static_cast<std::uint64_t>(
           static_cast<unsigned>(fb.busy) &
           static_cast<unsigned>(!transmitted) &
           static_cast<unsigned>(!fb.received));
-      if (fb.received) {
-        writer.emit(TraceEvent{
-            .round = static_cast<std::uint32_t>(round_),
-            .kind = static_cast<std::uint16_t>(EventKind::kDelivery),
-            .slot = static_cast<std::uint8_t>(slot),
-            .node = id.value,
-            .aux = sender.value,
-            .value = fb.payload});
-      }
     }
     protocols_[v]->on_slot(fb);
   }
+  out.deliveries = deliveries;
+  out.collisions = collisions;
+}
 
-  if (Obs* const obs = config_.obs; obs != nullptr) {
+void Engine::run_slot(Slot slot) {
+  const std::span<const std::uint8_t> alive = network_->alive_mask();
+  Obs* const obs = config_.obs;
+
+  std::span<const NodeId> transmitters;
+  {
+    StageTimer timer(obs, &EngineCounterIds::hist_stage_sample);
+    double* const probability = sweep_pool_ != nullptr
+                                    ? sweep_probability_.data()
+                                    : last_probability_.data();
+    for_each_sweep_chunk(
+        [&](std::size_t lo, std::size_t hi, SweepChunk& chunk) {
+          sample_sweep(lo, hi, slot, probability, chunk);
+        });
+    if (sweep_pool_ == nullptr) {
+      transmitters = sweep_chunks_[0].transmitters;
+    } else {
+      // Demotion reorders only the gain table's LRU list, which nothing in
+      // the sweep reads, so demoting after it, in id order, is exact.
+      TopologyCache& cache = workspace_.cache();
+      for (const SweepChunk& chunk : sweep_chunks_)
+        for (NodeId v : chunk.retired) cache.demote(v);
+      // transmitters_ is reserved to n, the chunks' total capacity.
+      std::vector<NodeId>& joined = transmitters_;
+      joined.clear();
+      for (const SweepChunk& chunk : sweep_chunks_) {
+        const std::vector<NodeId>& part = chunk.transmitters;
+        joined.insert(  // udwn-lint: allow(hot-path-alloc): reserve-backed
+            joined.end(), part.begin(), part.end());
+      }
+      transmitters = transmitters_;
+      if (slot == Slot::Data)
+        std::copy(sweep_probability_.begin(), sweep_probability_.end(),
+                  last_probability_.begin());
+    }
+  }
+
+  const double power_scale =
+      slot == Slot::Notify ? config_.notify_power_scale : 1.0;
+  // Tag worker-emitted shard spans with this slot's position (pure
+  // observability; resolve_into never reads it for any decision).
+  if (obs != nullptr)
+    workspace_.set_obs_slot(static_cast<std::uint32_t>(round_),
+                            static_cast<std::uint8_t>(slot));
+  const SlotOutcome* resolved = nullptr;
+  {
+    StageTimer timer(obs, &EngineCounterIds::hist_stage_resolve);
+    resolved = &channel_->resolve_into(transmitters, alive, power_scale,
+                                       network_->topology_epoch(),
+                                       workspace_);
+  }
+  const SlotOutcome& outcome = *resolved;
+
+  {
+    StageTimer timer(obs, &EngineCounterIds::hist_stage_feedback);
+    for_each_sweep_chunk(
+        [&](std::size_t lo, std::size_t hi, SweepChunk& chunk) {
+          feedback_sweep(lo, hi, slot, outcome, chunk);
+        });
+  }
+
+  if (obs != nullptr) {
     MetricsRegistry& m = obs->metrics();
     const EngineCounterIds& ids = obs->ids();
+    std::uint64_t deliveries = 0;
+    std::uint64_t collisions = 0;
+    for (const SweepChunk& chunk : sweep_chunks_) {
+      deliveries += chunk.deliveries;
+      collisions += chunk.collisions;
+    }
+    // Inert unless events are on. Every event comes from this thread, and
+    // the chunks' receivers join in id order, so the stream is the same
+    // however the sweeps ran.
+    TraceSink::Writer writer;
+    if (obs->events_enabled()) {
+      writer = obs->trace().writer();
+      for (const SweepChunk& chunk : sweep_chunks_) {
+        for (std::size_t k = 0; k < chunk.deliveries; ++k) {
+          const NodeId v = chunk.receivers[k];
+          const NodeId sender = outcome.decoded_from[v.value];
+          writer.emit(TraceEvent{
+              .round = static_cast<std::uint32_t>(round_),
+              .kind = static_cast<std::uint16_t>(EventKind::kDelivery),
+              .slot = static_cast<std::uint8_t>(slot),
+              .node = v.value,
+              .aux = sender.value,
+              .value = tx_payload_[sender.value]});
+        }
+      }
+    }
     m.add(ids.slots, 1);
     m.add(ids.transmissions, outcome.transmitters.size());
     m.add(ids.deliveries, deliveries);

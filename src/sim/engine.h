@@ -56,7 +56,9 @@ struct EngineConfig {
   /// (including the calling thread); 1 = serial. Every value produces
   /// bit-identical traces (enforced by tools/determinism_audit). When the
   /// gain table has at least one listener block per thread, each slot's
-  /// field is sharded by block, fusing tile fills with accumulation.
+  /// field is sharded by block, fusing tile fills with accumulation. When
+  /// every protocol declares Protocol::isolated(), the per-node sampling
+  /// and feedback sweeps are sharded by id range too.
   int threads = 1;
   /// Certified far-field approximation: aggregate transmitters beyond a
   /// derived separation radius per spatial cell with worst-case relative
@@ -156,8 +158,39 @@ class Engine {
   // run_slot), so a steady-state slot performs no heap allocation — see
   // docs/ENGINE.md and the counting-allocator test.
   SlotWorkspace workspace_;
-  std::vector<NodeId> transmitters_;
   std::vector<std::uint32_t> tx_payload_;
+
+  // The two per-node sweeps of a slot (transmitter sampling, feedback).
+  // Each is one body over a contiguous id range [lo, hi) that writes only
+  // its own nodes' entries and its own SweepChunk. The body runs once over
+  // [0, n) on the engine thread, or, when sweep_pool_ is set, once per
+  // chunk on the pool. The engine thread joins the chunks in chunk order,
+  // which is id order, so both cases produce the same slot bit for bit.
+  struct SweepChunk {
+    std::vector<NodeId> transmitters;  // sampled this slot, in id order
+    std::vector<NodeId> retired;       // sharded: rows to demote, id order
+    // Receivers of the slot in id order, the first `deliveries` entries;
+    // sized to the chunk's length only when trace events are on.
+    std::vector<NodeId> receivers;
+    std::uint64_t deliveries = 0;  // counted only with an Obs handle
+    std::uint64_t collisions = 0;
+  };
+  void sample_sweep(std::size_t lo, std::size_t hi, Slot slot,
+                    double* probability, SweepChunk& out);
+  void feedback_sweep(std::size_t lo, std::size_t hi, Slot slot,
+                      const SlotOutcome& outcome, SweepChunk& out);
+  template <typename Body>
+  void for_each_sweep_chunk(const Body& body);
+
+  // Set when the workspace has a pool and every protocol declares
+  // isolated(); decided once, at construction.
+  TaskPool* sweep_pool_ = nullptr;
+  std::vector<SweepChunk> sweep_chunks_;  // 1 serial, pool threads sharded
+  // Sharded only: the chunks' joined transmitter list, and the Data-slot
+  // probabilities they write, which the engine thread copies into
+  // last_probability_ so that between-round reads of it stay in its cache.
+  std::vector<NodeId> transmitters_;
+  std::vector<double> sweep_probability_;
 
   // Observability (all dormant when config_.obs == nullptr). Trace events
   // are emitted only from this (the engine) thread, so the event stream is

@@ -74,6 +74,19 @@ class Protocol {
   /// protocol); the engine never interprets it. Must be cheap and must not
   /// mutate state.
   [[nodiscard]] virtual std::uint32_t obs_state() const { return 0; }
+
+  /// Isolation contract: true declares that transmit_probability(),
+  /// payload() and on_slot() read and write only this instance's own state
+  /// (no pointer, reference, callback or static shared with another node's
+  /// protocol, and no reliance on the order in which nodes are visited).
+  /// When every protocol of an engine declares it and the engine has a
+  /// pool (EngineConfig::threads > 1), the per-node sampling and feedback
+  /// sweeps run in parallel over contiguous node-id ranges; the trace stays
+  /// bit-identical because each node draws from its own random stream. The
+  /// default, false, keeps the sweeps serial in id order on the engine
+  /// thread, which wrappers sharing a clock or a log rely on. The engine
+  /// reads this once, at construction.
+  [[nodiscard]] virtual bool isolated() const { return false; }
 };
 
 }  // namespace udwn

@@ -66,12 +66,14 @@ namespace {
 
 /// Minimal stateless protocol with a fixed transmission probability: its
 /// on_slot is a no-op, so any allocation observed during a round comes from
-/// the engine/channel pipeline, not from protocol logic.
+/// the engine/channel pipeline, not from protocol logic. Isolated, so with
+/// threads > 1 the per-node sweeps run sharded on the pool.
 class FixedProbabilityProtocol final : public Protocol {
  public:
   explicit FixedProbabilityProtocol(double p) : p_(p) {}
   double transmit_probability(Slot) override { return p_; }
   void on_slot(const SlotFeedback&) override {}
+  [[nodiscard]] bool isolated() const override { return true; }
 
  private:
   double p_;
@@ -111,7 +113,7 @@ TEST_P(SteadyStateAllocation, SlotPerformsNoHeapAllocation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, SteadyStateAllocation,
-                         ::testing::Values(1, 2),
+                         ::testing::Values(1, 2, 4),
                          [](const auto& info) {
                            return "threads" +
                                   std::to_string(info.param);

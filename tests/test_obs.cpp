@@ -383,10 +383,12 @@ TEST(TraceExport, EventKindNames) {
 /// Fixed transmit probability with a round-phased obs_state: the reported
 /// state advances every 10 rounds (20 slots at slots_per_round = 2), so a
 /// 25-round run produces exactly two state transitions per alive node.
+/// Isolated, so runs with threads > 1 shard the per-node sweeps.
 class PhasedProtocol final : public Protocol {
  public:
   double transmit_probability(Slot) override { return 0.25; }
   void on_slot(const SlotFeedback&) override { ++slots_; }
+  [[nodiscard]] bool isolated() const override { return true; }
   [[nodiscard]] std::uint32_t obs_state() const override {
     return slots_ / 20;
   }
@@ -481,7 +483,9 @@ TEST(EngineObs, MetricsOnlyModeEmitsNoEvents) {
 
 // The determinism contract for traces: every event is emitted from the
 // slot-serial sections of Engine::step, so thread counts and kernel choices
-// must not change a single byte of the merged stream. The serial reference
+// must not change a single byte of the merged stream. At threads > 1 the
+// per-node sweeps are sharded: delivery events come from the engine
+// thread's serial pass, and state transitions from its round-end poll. The serial reference
 // run is checked slot by slot against Channel::resolve(), so the stream
 // every other run must reproduce is the exact one.
 TEST(EngineObs, EventStreamIsIdenticalAcrossThreadsAndKernels) {
