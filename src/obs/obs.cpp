@@ -14,6 +14,7 @@ Obs::Obs(ObsConfig config)
   ids_.state_transitions = metrics_.counter("engine.state_transitions");
   ids_.decode_scatter_slots = metrics_.counter("channel.decode_scatter_slots");
   ids_.decode_gather_slots = metrics_.counter("channel.decode_gather_slots");
+  ids_.decode_far_slots = metrics_.counter("channel.decode_far_slots");
   ids_.gain_hits = metrics_.counter("gain_table.hits");
   ids_.gain_misses = metrics_.counter("gain_table.misses");
   ids_.gain_evictions = metrics_.counter("gain_table.evictions");

@@ -61,6 +61,7 @@ struct EngineCounterIds {
   // Channel decode paths.
   MetricId decode_scatter_slots = kInvalidMetric;
   MetricId decode_gather_slots = kInvalidMetric;
+  MetricId decode_far_slots = kInvalidMetric;
   // GainTable (published as per-round deltas by the engine).
   MetricId gain_hits = kInvalidMetric;
   MetricId gain_misses = kInvalidMetric;

@@ -370,6 +370,9 @@ const SlotOutcome& Channel::resolve_into(
   GainTable* gains = cache.gains();
   bool rows = false;
   bool field_done = false;
+  bool decoded = false;
+  const double decode_radius =
+      unscaled ? decode_range_unscaled_ : model_->decode_range(pl);
 
   // Certified far-field approximation (far_field.h): aggregate transmitters
   // beyond the derived separation radius ρ per spatial cell, with relative
@@ -377,15 +380,29 @@ const SlotOutcome& Channel::resolve_into(
   // infeasible certificate (bad ε/cell/near-limit combination) or a layout
   // that defeats aggregation falls back to the exact kernels below. The
   // gain table is bypassed on this path — the whole point is never touching
-  // O(n·|S|) pairs — so decode reads signals per pair (bit-identical to the
-  // table's entries either way).
+  // O(n·|S|) pairs. With the SINR model, and every decode candidate of the
+  // scatter's (inflated) ball inside the near cells, the near sweep also
+  // settles decode from its own terms — the same sender decode_scatter
+  // would pick (far_field.h, "Fused SINR decode"); otherwise decode reads
+  // signals per pair below.
   if (ws.config_.far_field_eps > 0 && cache.euclidean() != nullptr) {
     if (const std::optional<FarFieldParams> params = far_field_params(
             ws.config_.far_field_eps,
             ws.config_.far_field_cell_factor * max_range_, pl)) {
+      const bool fuse =
+          sinr_ != nullptr &&
+          far_field_covers_decode(*params, decode_radius * kGridInflation);
+      const FarFieldDecode decode{
+          .beta = fuse ? sinr_->beta() : 0.0,
+          .noise = fuse ? sinr_->noise() : 0.0,
+          .alive = alive,
+          .transmitting = ws.is_tx_,
+          .decoded_from = out.decoded_from};
       field_done = ws.far_field_.field_into(*cache.euclidean(), pl,
                                             transmitters, *params,
-                                            out.interference, pool);
+                                            out.interference, pool,
+                                            fuse ? &decode : nullptr);
+      decoded = field_done && fuse;
     }
   }
 
@@ -425,12 +442,12 @@ const SlotOutcome& Channel::resolve_into(
 
   const SpatialGrid* grid = cache.grid();
   const GainTable* decode_gains = rows ? gains : nullptr;
-  const double decode_radius =
-      unscaled ? decode_range_unscaled_ : model_->decode_range(pl);
   // Decode-path counters are bumped on the (serial) caller thread; nothing
   // in the obs branch feeds back into any decision below.
   Obs* obs = ws.config_.obs;
-  if (grid != nullptr && std::isfinite(decode_radius)) {
+  if (decoded) {
+    if (obs != nullptr) obs->metrics().add(obs->ids().decode_far_slots, 1);
+  } else if (grid != nullptr && std::isfinite(decode_radius)) {
     if (obs != nullptr)
       obs->metrics().add(obs->ids().decode_scatter_slots, 1);
     decode_scatter(view, pl, decode_gains, alive, *grid, decode_radius, ws);

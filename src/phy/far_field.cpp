@@ -38,6 +38,14 @@ std::optional<FarFieldParams> far_field_params(double eps, double cell,
   return FarFieldParams{.eps = eps, .cell = cell, .rho = rho};
 }
 
+bool far_field_covers_decode(const FarFieldParams& params,
+                              double decode_radius) {
+  // A sender within decode_radius of the listener has d_cc <=
+  // decode_radius + δ (both endpoints within δ/2 of their cell centers),
+  // so its cell is near when that sum stays below ρ.
+  return decode_radius + params.cell * std::sqrt(2.0) < params.rho;
+}
+
 void FarFieldWorkspace::build_tables(const TableKey& key,
                                      const PathLoss& pathloss) {
   const std::size_t ncx = key.ncx;
@@ -84,10 +92,18 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
                                    std::span<const NodeId> transmitters,
                                    const FarFieldParams& params,
                                    std::vector<double>& field,
-                                   TaskPool* pool) {
+                                   TaskPool* pool,
+                                   const FarFieldDecode* decode) {
   const std::size_t n = metric.size();
   const std::span<const Vec2> pts = metric.positions();
   const double cell = params.cell;
+  if (decode != nullptr) {
+    // β >= 1 is what rules out two passing senders of equal signal.
+    UDWN_EXPECT(decode->beta >= 1);
+    UDWN_EXPECT(decode->alive.size() == n &&
+                decode->transmitting.size() == n &&
+                decode->decoded_from.size() == n);
+  }
   if (n == 0) {
     field.clear();
     return true;
@@ -162,8 +178,10 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
   // of transmitters in cells with a smaller key, so the transmitters of
   // cells c .. c' − 1 are the contiguous run cell_start_[c] ..
   // cell_start_[c'] − 1. Distinct transmitter cells get their grid
-  // coordinates and count for the far pass.
-  tx_.resize(count);  // udwn-lint: allow(hot-path-alloc): per-slot
+  // coordinates and count for the far pass. One spare entry past the last
+  // transmitter lets the near gather read a run's first entry
+  // unconditionally.
+  tx_.resize(count + 1);  // udwn-lint: allow(hot-path-alloc): per-slot
   cell_start_.assign(  // udwn-lint: allow(hot-path-alloc): per-slot
       ncells + 1, 0);
   tx_cells_.clear();
@@ -233,51 +251,107 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
     far_body(0, ncx * row_blocks);
   }
 
-  // Finalize per listener: aggregated far signal plus the exact sum over
-  // every transmitter in a near cell (self excluded — a transmitter's own
-  // cell is always near, d_cc = 0). The near cells of one stencil row
-  // Δcx are a contiguous cy range, so their transmitters are one run of the
-  // sorted copies; rows are walked in ascending Δcx, which makes each
-  // listener's sum run in (near cell, slot order) — deterministic.
-  // Listeners partition the work. The terms are the inline
+  // Listeners by cell: a counting sort that visits ids in descending order
+  // and fills each cell from its end, so ids ascend within a cell.
+  // listener_start_ first holds the running end of every cell and ends up
+  // holding every cell's first index.
+  by_cell_.resize(n);  // udwn-lint: allow(hot-path-alloc): per-slot
+                       // scratch, reuses capacity at steady state
+  listener_start_.assign(  // udwn-lint: allow(hot-path-alloc): per-slot
+      ncells + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) ++listener_start_[listener_cell_[v]];
+  for (std::size_t c = 1; c <= ncells; ++c)
+    listener_start_[c] += listener_start_[c - 1];
+  for (std::size_t v = n; v-- > 0;)
+    by_cell_[--listener_start_[listener_cell_[v]]] =
+        static_cast<std::uint32_t>(v);
+
+  // Near sweep, cell-major: each non-empty listener cell gathers the
+  // transmitters of its near cells once — stencil rows in ascending Δcx,
+  // each row one contiguous run of tx_, so the buffer is in (cell key,
+  // slot) order — and each of its listeners adds them, self excluded (a
+  // transmitter's own cell is always near, d_cc = 0), to the aggregated far
+  // signal. Chunks partition listener cells. The terms are the inline
   // PathLoss::signal(u, v), bit for bit
   // PathLoss::signal(EuclideanMetric::distance(u, v)); the local copy keeps
-  // P, ζ and the near limit in registers.
+  // P, ζ and the near limit in registers. The strongest term and its
+  // sender feed the fused decode.
   field.resize(n);  // udwn-lint: allow(hot-path-alloc): per-slot output,
                     // reuses capacity at steady state
+  const std::size_t chunks =
+      pool != nullptr ? static_cast<std::size_t>(pool->threads()) : 1;
+  const std::size_t chunk_cells = (ncells + chunks - 1) / chunks;
+  const std::size_t stride = count + 1;  // + the unconditional copy's slot
+  gather_.resize(  // udwn-lint: allow(hot-path-alloc): per-slot scratch,
+                   // reuses capacity at steady state
+      chunks * stride);
   const PathLoss pl = pathloss;
   const auto rows = static_cast<std::int32_t>(near_half_.size());
   const auto gx = static_cast<std::int32_t>(ncx);
   const auto gy = static_cast<std::int32_t>(ncy);
+  const double beta = decode != nullptr ? decode->beta : 0.0;
+  const double noise = decode != nullptr ? decode->noise : 0.0;
   auto finalize_body = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t v = lo; v < hi; ++v) {
-      const std::size_t c = listener_cell_[v];
+    NearTx* const near = gather_.data() + (lo / chunk_cells) * stride;
+    for (std::size_t c = lo; c < hi; ++c) {
+      const std::uint32_t l_begin = listener_start_[c];
+      const std::uint32_t l_end = listener_start_[c + 1];
+      if (l_begin == l_end) continue;
+      // Listener ids are scattered over the node arrays; start their loads
+      // now so that the gather below hides them.
+      for (std::uint32_t i = l_begin; i < l_end; ++i) {
+        __builtin_prefetch(&pts[by_cell_[i]]);
+        __builtin_prefetch(&field[by_cell_[i]], 1);
+      }
       const auto cx = static_cast<std::int32_t>(c / ncy);
       const auto cy = static_cast<std::int32_t>(c % ncy);
-      const Vec2 listener = pts[v];
-      double acc = far_sum_[c];
+      NearTx* near_end = near;
       for (std::int32_t r = std::max(0, cx - rows + 1),
                         r_end = std::min(gx, cx + rows);
            r < r_end; ++r) {
         const std::int32_t half = near_half_[std::abs(r - cx)];
         const std::size_t row = static_cast<std::size_t>(r) * ncy;
+        const std::uint32_t m_begin = cell_start_[
+            row + static_cast<std::size_t>(std::max(0, cy - half))];
         const std::uint32_t m_end = cell_start_[
             row + static_cast<std::size_t>(std::min(gy, cy + half + 1))];
-        for (std::uint32_t m = cell_start_[
-                 row + static_cast<std::size_t>(std::max(0, cy - half))];
-             m < m_end; ++m) {
-          const NearTx& u = tx_[m];
-          if (u.id == v) continue;
-          acc += pl.signal(Vec2{u.x, u.y}, listener);
-        }
+        // Most runs hold zero or one transmitter: copy one entry without a
+        // branch (the spare tx_ and gather_ entries make that safe), then
+        // the rest, if any.
+        *near_end = tx_[m_begin];
+        for (std::uint32_t m = m_begin + 1; m < m_end; ++m)
+          near_end[m - m_begin] = tx_[m];
+        near_end += m_end - m_begin;
       }
-      field[v] = acc;
+      const double far = far_sum_[c];
+      for (std::uint32_t i = l_begin; i < l_end; ++i) {
+        const std::uint32_t v = by_cell_[i];
+        const Vec2 listener = pts[v];
+        double acc = far;
+        double best = -1;
+        std::uint32_t best_id = 0;
+        for (const NearTx* u = near; u != near_end; ++u) {
+          if (u->id == v) continue;
+          const double s = pl.signal(Vec2{u->x, u->y}, listener);
+          acc += s;
+          if (s > best) {
+            best = s;
+            best_id = u->id;
+          }
+        }
+        field[v] = acc;
+        if (decode != nullptr && decode->alive[v] &&
+            !decode->transmitting[v])
+          decode->decoded_from[v] = best > beta * ((acc - best) + noise)
+                                        ? NodeId(best_id)
+                                        : NodeId{};
+      }
     }
   };
   if (pool != nullptr) {
-    pool->run_chunks(0, n, finalize_body);
+    pool->run_chunks(0, ncells, finalize_body, chunk_cells);
   } else {
-    finalize_body(0, n);
+    finalize_body(0, ncells);
   }
   return true;
 }

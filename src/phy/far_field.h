@@ -40,12 +40,12 @@
 // hold — e.g. when ρ − δ does not clear the path-loss near-limit clamp, so
 // both d_cc and d(u,v) are guaranteed to be on the pure power-law branch.
 //
-// Cost: per slot, one pass bucketing the |S| transmitters into cells, a
-// cells × tx-cells aggregation whose signal factors come from a
-// translation-invariant offset table (one pow per distinct cell offset, not
-// per pair), and an exact near sweep whose per-listener work is bounded by
-// the O(ρ²·density) transmitters nearby — independent of n. The O(|S|·n)
-// pairwise wall disappears. Three choices keep the constant small without
+// Cost: per slot, one pass bucketing the |S| transmitters into cells, one
+// counting sort of the n listeners by cell, a cells × tx-cells aggregation
+// whose signal factors come from a translation-invariant offset table (one
+// pow per distinct cell offset, not per pair), and an exact near sweep
+// whose per-listener work is bounded by the O(ρ²·density) transmitters
+// nearby — independent of n. The O(|S|·n) pairwise wall disappears. Three choices keep the constant small without
 // changing a single bit of the result:
 //   - Kernel table with zeroed near offsets. The far pass reads a kernel
 //     that holds signal(d_cc) at far offsets and +0.0 at near offsets
@@ -65,20 +65,39 @@
 //     limit) — not on the layout's origin or on which nodes transmit. They
 //     are rebuilt only when that key changes; the key holds the path-loss
 //     *values*, since power-scaled slots pass a temporary PathLoss.
-// The near sweep needs no per-slot near lists: the near cells of one
-// stencil row are a contiguous cy range, so with the transmitters copied
-// flat in (cell key, slot) order and a per-cell start index, each row's
-// near transmitters are one contiguous run. It evaluates the same
-// expressions as EuclideanMetric::distance and PathLoss::signal inline.
+// The near sweep runs cell-major. Listeners are counting-sorted by cell
+// (ascending id within a cell). The near cells of one stencil row are a
+// contiguous cy range, so with the transmitters copied flat in (cell key,
+// slot) order and a per-cell start index, each row's near transmitters are
+// one contiguous run. Each non-empty listener cell copies those runs once
+// into a per-chunk gather buffer, in (cell key, slot) order, and every
+// listener of the cell sums that buffer: the same terms in the same order
+// as walking the stencil per listener, so the same bits, but the stencil
+// lookups are paid once per cell rather than once per listener. Each term
+// evaluates the same expressions as EuclideanMetric::distance and
+// PathLoss::signal inline.
+//
+// Fused SINR decode (optional, FarFieldDecode): the same loop tracks each
+// listener's strongest near signal s and its sender, and decides decode as
+// s > β·((I − s) + N), the SinrReception::receives expression over this
+// field I. That is exactly the sender the grid-pruned scatter-max decode
+// would pick: fl(I − s) is non-increasing in s, so a sender that passes
+// keeps passing when its signal grows, and the strongest candidate passes
+// whenever any does. Two senders with equal s cannot both pass (I >= 2s
+// in floating point, so I − s >= s, and β >= 1). Every sender that can
+// pass lies within the decode radius r, hence in a near cell whenever
+// r + δ < ρ (far_field_covers_decode); otherwise the caller decodes
+// separately.
 //
 // Determinism: the result is a pure function of (positions, transmitters,
 // params). Every far sum runs over tx cells in ascending key order, every
 // near sum over transmitters in (cell key, slot) order, and parallel phases
-// partition listeners/cells without ever splitting one accumulation — so
-// any thread count produces bit-identical fields (the determinism audit
-// checks far-field rows for exactly this self-determinism; the
-// approximation is *not* bit-identical to the exact kernels, only
-// ε-certified against them).
+// partition nodes or cells without ever splitting one accumulation: the
+// near sweep's chunks are ranges of listener cells, and each listener's sum
+// stays inside its cell's chunk. So any thread count produces bit-identical
+// fields and decode decisions (the determinism audit checks far-field rows
+// for exactly this self-determinism; the approximation is *not*
+// bit-identical to the exact kernels, only ε-certified against them).
 #pragma once
 
 #include <cstdint>
@@ -112,6 +131,25 @@ struct FarFieldParams {
 [[nodiscard]] std::optional<FarFieldParams> far_field_params(
     double eps, double cell, const PathLoss& pathloss);
 
+/// True iff every sender a listener can decode within `decode_radius` lies
+/// in one of the listener's near cells (decode_radius + δ < ρ), so the near
+/// sweep sees every decode candidate and can settle SINR decode itself.
+[[nodiscard]] bool far_field_covers_decode(const FarFieldParams& params,
+                                           double decode_radius);
+
+/// Inputs and output of the fused SINR decode (file comment, "Fused SINR
+/// decode"). Spans are indexed by node id and hold metric.size() entries.
+struct FarFieldDecode {
+  /// SinrReception's threshold β (>= 1) and noise N.
+  double beta = 0;
+  double noise = 0;
+  std::span<const std::uint8_t> alive;
+  std::span<const std::uint8_t> transmitting;
+  /// Written for every alive, non-transmitting listener: its decoded
+  /// sender, or NodeId{} when none passes. Other entries are untouched.
+  std::span<NodeId> decoded_from;
+};
+
 /// Reusable scratch for the approximate field (one per SlotWorkspace).
 /// Buffers are sized per slot but reuse capacity, and the offset tables are
 /// rebuilt only when their key changes ("Cached tables" above), so
@@ -121,12 +159,16 @@ class FarFieldWorkspace {
   /// Approximate interference field into `field` (resized to metric.size();
   /// every entry written). Returns false — leaving `field` untouched — when
   /// the instance layout defeats aggregation (cell grid would outnumber
-  /// nodes by too much); the caller then runs an exact kernel.
+  /// nodes by too much); the caller then runs an exact kernel. With
+  /// `decode` non-null the SINR decode is settled from the same near terms
+  /// (only when the field is written); the caller must have checked
+  /// far_field_covers_decode for the slot's decode radius.
   UDWN_HOT bool field_into(const EuclideanMetric& metric,
                            const PathLoss& pathloss,
                            std::span<const NodeId> transmitters,
                            const FarFieldParams& params,
-                           std::vector<double>& field, TaskPool* pool);
+                           std::vector<double>& field, TaskPool* pool,
+                           const FarFieldDecode* decode = nullptr);
 
  private:
   // Inputs the cached offset tables depend on (see "Cached tables" above).
@@ -152,6 +194,10 @@ class FarFieldWorkspace {
 
   // Listener cell index per node.
   std::vector<std::uint32_t> listener_cell_;
+  // Listener ids sorted by (cell, id), and per cell c the index in
+  // by_cell_ of its first listener (size ncells + 1).
+  std::vector<std::uint32_t> by_cell_;
+  std::vector<std::uint32_t> listener_start_;
   // Transmitters sorted by (cell key, slot order): first = cell key,
   // second = index into the slot's transmitter span.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> tx_sorted_;
@@ -162,6 +208,9 @@ class FarFieldWorkspace {
     std::uint32_t id;
   };
   std::vector<NearTx> tx_;
+  // Near-sweep gather buffers: chunk k of the cell range owns the |S|
+  // entries starting at k·|S| (a cell's near transmitters never exceed |S|).
+  std::vector<NearTx> gather_;
   // Per cell key c: index in tx_ of the first transmitter with cell key
   // >= c (size ncells + 1).
   std::vector<std::uint32_t> cell_start_;

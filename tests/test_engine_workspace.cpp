@@ -125,9 +125,10 @@ constexpr double kTransmitProbability = 0.1;
 
 TEST_P(FarFieldAllocation, SlotPerformsNoHeapAllocation) {
   // The certified far field keeps offset tables cached across slots and
-  // per-slot scratch sized by the transmitter count. With a real protocol
-  // drawing a different transmitter set every slot, warm rounds must still
-  // not touch the heap.
+  // per-slot scratch sized by the transmitter count (the near sweep's
+  // gather buffers also by the pool's chunk count, hence threads 4). With a
+  // real protocol drawing a different transmitter set every slot, warm
+  // rounds must still not touch the heap.
   constexpr std::size_t kNodes = 1024;
   const double extent = std::sqrt(static_cast<double>(kNodes) / 8.0);
   Scenario scenario(test::random_points(kNodes, extent, 8106),
@@ -171,7 +172,7 @@ TEST_P(FarFieldAllocation, SlotPerformsNoHeapAllocation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, FarFieldAllocation,
-                         ::testing::Values(1, 2),
+                         ::testing::Values(1, 2, 4),
                          [](const auto& info) {
                            return "threads" +
                                   std::to_string(info.param);

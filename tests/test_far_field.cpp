@@ -6,7 +6,9 @@
 // edge cases (infeasible ε, near-limit clamp, ζ < 1) must refuse with
 // nullopt so the pipeline falls back to the exact kernels. A naive
 // evaluation of the bit-exact definition in far_field.h pins every field
-// value across awkward grid shapes, thread counts and workspace reuse.
+// value across awkward grid shapes, thread counts and workspace reuse, and
+// the SINR decode settled inside the near sweep must equal a brute-force
+// gather over the far field's own interference.
 #include "phy/far_field.h"
 
 #include <gtest/gtest.h>
@@ -15,12 +17,14 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "metric/euclidean.h"
+#include "obs/obs.h"
 #include "phy/channel.h"
 #include "phy/interference.h"
 #include "tests/helpers.h"
@@ -59,6 +63,7 @@ struct ReferenceField {
   std::size_t max_cell_tx = 0;      // most transmitters in one cell
   std::size_t shared_tx_cells = 0;  // transmitters sharing their cell with
                                     // another node
+  std::size_t node_cells = 0;       // cells holding at least one node
 };
 
 ReferenceField reference_far_field(const EuclideanMetric& metric,
@@ -89,6 +94,7 @@ ReferenceField reference_far_field(const EuclideanMetric& metric,
   for (const NodeId u : txs) tx_cells[cell_of(pts[u.value])].push_back(u);
   std::vector<std::size_t> nodes_per_cell(ref.ncx * ref.ncy, 0);
   for (const Vec2 p : pts) ++nodes_per_cell[cell_of(p)];
+  for (const std::size_t count : nodes_per_cell) ref.node_cells += count > 0;
   for (const auto& [key, members] : tx_cells) {
     ref.max_cell_tx = std::max(ref.max_cell_tx, members.size());
     if (nodes_per_cell[key] > 1) ref.shared_tx_cells += members.size();
@@ -127,6 +133,19 @@ std::vector<Vec2> random_rect(std::size_t n, double width, double height,
                               std::uint64_t seed) {
   std::vector<Vec2> pts = test::random_points(n, 1.0, seed);
   for (Vec2& p : pts) p = {p.x * width, p.y * height};
+  return pts;
+}
+
+// `per_cluster` points uniform in each of the unit squares whose lower-left
+// corners are `corners`.
+std::vector<Vec2> clusters(std::size_t per_cluster,
+                           const std::vector<Vec2>& corners,
+                           std::uint64_t seed) {
+  std::vector<Vec2> pts;
+  for (const Vec2 corner : corners) {
+    for (const Vec2 p : random_rect(per_cluster, 1.0, 1.0, seed++))
+      pts.push_back({corner.x + p.x, corner.y + p.y});
+  }
   return pts;
 }
 
@@ -260,6 +279,22 @@ TEST(FarField, MatchesBitExactDefinition) {
       // Several transmitters per cell.
       {"crowded cells", random_rect(1500, 6.0, 6.0, 9804), 0.5,
        [](const ReferenceField& r) { return r.max_cell_tx >= 3; }},
+      // Cell-major sweep: many listeners share each cell's gather buffer.
+      {"dense cells", random_rect(2400, 3.0, 3.0, 9805), 0.3,
+       [](const ReferenceField& r) {
+         return r.field.size() >= 8 * r.node_cells;
+       }},
+      // Cell-major sweep: runs of empty listener cells between the
+      // clusters, and a cell count that threads 3 and 5 do not divide, so
+      // the last chunk of the cell range is short.
+      {"clusters", clusters(150, {{0, 0}, {0, 7.5}, {6.6, 0}, {6.6, 7.5}},
+                            9806),
+       0.3,
+       [](const ReferenceField& r) {
+         const std::size_t cells = r.ncx * r.ncy;
+         return 2 * r.node_cells < cells && cells % 3 != 0 &&
+                cells % 5 != 0;
+       }},
   };
   for (const Layout& layout : layouts) {
     SCOPED_TRACE(layout.name);
@@ -271,7 +306,9 @@ TEST(FarField, MatchesBitExactDefinition) {
       const auto params = far_field_params(2.0, cell, pl);
       ASSERT_TRUE(params.has_value());
       const ReferenceField ref = reference_far_field(metric, pl, txs, *params);
-      EXPECT_TRUE(layout.has_shape(ref));
+      EXPECT_TRUE(layout.has_shape(ref))
+          << "grid " << ref.ncx << " x " << ref.ncy << ", " << ref.node_cells
+          << " cells with nodes";
       // Far aggregation engages, and some transmitter shares its cell with
       // other listeners (its own cell is near, its self term skipped).
       EXPECT_GT(ref.far_terms, 0u);
@@ -396,6 +433,149 @@ TEST(FarField, PowerScaledSlotsStayCertified) {
     const SlotOutcome& got = channel.resolve_into(
         txs, network.alive_mask(), scale, network.topology_epoch(), ws);
     expect_certified(ref.interference, got.interference, eps, "scaled");
+  }
+}
+
+// decoded_from by brute force over every transmitter, against the slot's
+// own (far-field) interference: the strongest sender that passes the
+// model's receives(), the first in slot order on equal signal.
+std::vector<NodeId> gather_decode(const Channel& channel,
+                                  const SlotOutcome& got,
+                                  std::span<const std::uint8_t> alive,
+                                  std::span<const std::uint8_t> transmitting,
+                                  double scale) {
+  const PathLoss& base = channel.pathloss();
+  const PathLoss pl(base.power() * scale, base.zeta(), base.near_limit());
+  const SlotView view{.metric = &channel.metric(),
+                      .pathloss = &pl,
+                      .transmitters = got.transmitters,
+                      .transmitting = transmitting,
+                      .interference = got.interference};
+  std::vector<NodeId> decoded(alive.size());
+  for (std::uint32_t v = 0; v < alive.size(); ++v) {
+    if (!alive[v] || transmitting[v]) continue;
+    double best = -1;
+    for (const NodeId u : got.transmitters) {
+      if (!channel.model().receives(NodeId(v), u, view)) continue;
+      const double s = pl.signal(channel.metric().distance(u, NodeId(v)));
+      if (s > best) {
+        best = s;
+        decoded[v] = u;
+      }
+    }
+  }
+  return decoded;
+}
+
+TEST(FarField, FusedDecodeMatchesBruteForceGather) {
+  // With the SINR model the far-field near sweep settles decode itself
+  // when every decode candidate sits in a near cell (decode radius + δ <
+  // ρ); otherwise, and for other models, the grid scatter decodes. Either
+  // way decoded_from must be the brute-force gather over the far field's
+  // own interference.
+  constexpr double kEps = 2.0;  // ρ ≈ 3.2 cell sides at ζ = 3
+  // Cell side (as a multiple of R) at which decode radius R + δ reaches ρ:
+  // ρ − δ = δ·(1/b − 1), b = (1 + ε)^(1/ζ) − 1, δ = cell·√2. The decode
+  // radius is R up to rounding; the 1e-9 is the scatter's grid inflation.
+  const double b = std::pow(1.0 + kEps, 1.0 / 3.0) - 1.0;
+  const double edge = (1.0 + 1e-9) / (std::sqrt(2.0) * (1.0 / b - 1.0));
+  struct Case {
+    const char* name;
+    ModelKind model;
+    double beta;
+    double cell_factor;
+    bool fused;  // at full power
+  };
+  const Case cases[] = {
+      {"beta 1, equidistant senders", ModelKind::Sinr, 1.0, 0.8, true},
+      {"radius just inside rho - delta", ModelKind::Sinr, 1.5,
+       edge * (1 + 1e-6), true},
+      {"radius just outside: scatter fallback", ModelKind::Sinr, 1.5,
+       edge * (1 - 1e-6), false},
+      {"UDG: scatter fallback", ModelKind::Udg, 1.5, 0.8, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    // A uniform 12 × 12 layout plus two hand-placed listeners with senders
+    // at exactly equal distance (0.5 and 0.25, so the signals tie bit for
+    // bit): a three-way tie at node n0 and a two-way tie at node n0 + 4.
+    std::vector<Vec2> pts = test::random_points(600, 12.0, 9900);
+    const auto n0 = static_cast<std::uint32_t>(pts.size());
+    for (const Vec2 p : {Vec2{3.0, 3.0}, Vec2{2.5, 3.0}, Vec2{3.5, 3.0},
+                         Vec2{3.0, 2.5}, Vec2{9.0, 9.0}, Vec2{9.0, 8.75},
+                         Vec2{9.0, 9.25}})
+      pts.push_back(p);
+    ScenarioConfig config = test::config_for(c.model);
+    config.sinr_beta = c.beta;
+    Scenario scenario(pts, config);
+    const Channel& channel = scenario.channel();
+    Network& network = scenario.network();
+    Rng rng(41);
+    // Dead listeners, never transmitters.
+    for (std::uint32_t v = 0; v < 600; v += 37)
+      network.set_alive(NodeId(v), false);
+    std::vector<NodeId> txs;
+    for (const std::uint32_t u : {n0 + 2, n0 + 1, n0 + 3, n0 + 6, n0 + 5})
+      txs.push_back(NodeId(u));
+    // Random senders keep clear of the hand-placed listeners, so the tied
+    // senders stay the strongest ones there.
+    const auto clear_of_ties = [&](Vec2 p) {
+      return distance(p, pts[n0]) > 0.6 && distance(p, pts[n0 + 4]) > 0.6;
+    };
+    for (std::uint32_t v = 0; v < 600; ++v)
+      if (network.alive(NodeId(v)) && rng.chance(0.15) &&
+          clear_of_ties(pts[v]))
+        txs.push_back(NodeId(v));
+
+    const auto params = far_field_params(
+        kEps, c.cell_factor * scenario.model().max_range(),
+        channel.pathloss());
+    ASSERT_TRUE(params.has_value());
+    EXPECT_EQ(far_field_covers_decode(
+                  *params, scenario.model().decode_range(channel.pathloss()) *
+                               (1 + 1e-9)),
+              c.cell_factor > edge);
+
+    for (const int threads : {1, 3}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      Obs obs;
+      SlotWorkspace ws(SlotWorkspaceConfig{
+          .far_field_eps = kEps,
+          .far_field_cell_factor = c.cell_factor,
+          .threads = threads,
+          .obs = &obs});
+      std::size_t decodes = 0;
+      for (const bool full_power : {true, false}) {
+        const double scale = full_power ? 1.0 : 0.3;  // 0.3: power-scaled
+        SCOPED_TRACE("scale=" + std::to_string(scale));
+        const std::uint64_t fused_before =
+            obs.metrics().total(obs.ids().decode_far_slots);
+        const SlotOutcome& got =
+            channel.resolve_into(txs, network.alive_mask(), scale,
+                                 network.topology_epoch(), ws);
+        if (full_power) {
+          EXPECT_EQ(obs.metrics().total(obs.ids().decode_far_slots) -
+                        fused_before,
+                    c.fused ? 1u : 0u);
+          // The far-field path really ran: its field is not the exact one.
+          const SlotOutcome exact =
+              channel.resolve(txs, network.alive_mask(), scale);
+          EXPECT_NE(exact.interference, got.interference);
+        }
+        const std::vector<NodeId> want = gather_decode(
+            channel, got, network.alive_mask(), ws.transmitting(), scale);
+        for (std::size_t v = 0; v < want.size(); ++v) {
+          EXPECT_EQ(got.decoded_from[v], want[v]) << "node " << v;
+          decodes += want[v].valid();
+        }
+        // The tied senders never decode: I >= 2s, so I − s >= s.
+        if (c.model == ModelKind::Sinr) {
+          EXPECT_FALSE(got.decoded_from[n0].valid());
+          EXPECT_FALSE(got.decoded_from[n0 + 4].valid());
+        }
+      }
+      EXPECT_GT(decodes, 100u);  // the comparison is not vacuous
+    }
   }
 }
 
