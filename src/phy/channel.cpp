@@ -1,5 +1,6 @@
 #include "phy/channel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -14,6 +15,10 @@ namespace {
 // Superset-safe inflation for grid range queries; the exact metric/model
 // predicate always re-filters candidates (see topology_cache.h).
 constexpr double kGridInflation = 1.0 + 1e-9;
+// The mass-delivery/clear loop runs on the pool only with at least this
+// many transmitters per thread: below it the fork/join costs more than the
+// neighbour-list fills it spreads.
+constexpr std::size_t kMinFlagTxPerThread = 64;
 }  // namespace
 
 Channel::Channel(const QuasiMetric& metric, const PathLoss& pathloss,
@@ -39,6 +44,7 @@ SlotWorkspace::SlotWorkspace(SlotWorkspaceConfig config)
           .gain_budget_bytes = config.gain_budget_bytes,
           .gain_tile_cols = config.gain_tile_cols}) {
   UDWN_EXPECT(config.threads >= 1);
+  neighbor_scratch_.resize(static_cast<std::size_t>(config.threads));
   if (config.threads > 1)
     pool_ = std::make_unique<TaskPool>(config.threads);
   // The pool lives in src/common, below the observability layer, so it
@@ -457,39 +463,66 @@ const SlotOutcome& Channel::resolve_into(
     decode_gather(view, pl, decode_gains, alive, ws);
   }
 
-  // Mass-delivery and clear-channel flags per transmitter.
+  // Mass-delivery and clear-channel flags per transmitter. With enough
+  // transmitters per thread the loop runs in pool chunks over the slot's
+  // transmitter span, one chunk per thread: each chunk fills the stale
+  // neighbour lists of its own transmitters through its own scratch (ids
+  // are unique, and grid() is current since the call above, so a fill
+  // writes only its own node's list) and writes only their flags. Each
+  // flag depends on its transmitter alone, so the chunking changes no
+  // bit. The clear test is ReceptionModel::clear_channel with the hoisted
+  // SuccClear parameters (the same expression, no per-call pow): a guard
+  // zone D(u, ρ_c·R) free of other transmitters, then the I_c cap.
   const SuccClearParams params = succ_clear_;
   const double guard = params.rho_c * max_range_;
-  for (NodeId u : transmitters) {
-    bool all = true;
-    for (NodeId v : cache.neighbors(u)) {
-      if (out.decoded_from[v.value] != u) {
-        all = false;
-        break;
+  const std::size_t count = transmitters.size();
+  const bool shard_flags =
+      pool != nullptr &&
+      count >= kMinFlagTxPerThread * static_cast<std::size_t>(pool->threads());
+  const std::size_t chunk_len =
+      shard_flags ? (count + ws.neighbor_scratch_.size() - 1) /
+                        ws.neighbor_scratch_.size()
+                  : std::max<std::size_t>(count, 1);
+  auto flags_body = [&](std::size_t lo, std::size_t hi) {
+    std::vector<NodeId>& scratch = ws.neighbor_scratch_[lo / chunk_len];
+    for (std::size_t i = lo; i < hi; ++i) {
+      const NodeId u = transmitters[i];
+      bool all = true;
+      for (NodeId v : cache.neighbors(u, scratch)) {
+        if (out.decoded_from[v.value] != u) {
+          all = false;
+          break;
+        }
       }
-    }
-    out.mass_delivered[u.value] = static_cast<std::uint8_t>(all);
+      out.mass_delivered[u.value] = static_cast<std::uint8_t>(all);
 
-    bool clear;
-    if (grid != nullptr && guard > 0) {
-      // Grid-pruned guard zone, then the same exact predicate as
-      // ReceptionModel::clear_channel: any *other* transmitter strictly
-      // inside D(u, ρ_c·R) spoils the channel. Transmitters outside the
-      // (inflated) ball are provably outside the guard zone.
-      clear = true;
-      grid->for_each_within(
-          cache.euclidean()->position(u),
-          guard * kGridInflation, [&](NodeId w) {
-            if (w == u || !ws.is_tx_[w.value]) return;
-            if (metric_->distance(w, u) < guard) clear = false;
-          });
-      if (clear && params.i_c < std::numeric_limits<double>::infinity() &&
-          out.interference[u.value] > params.i_c)
-        clear = false;
-    } else {
-      clear = model_->clear_channel(u, view, epsilon_);
+      bool clear = true;
+      if (guard > 0 && grid == nullptr) {
+        clear = model_->clear_channel(u, view, epsilon_);
+      } else {
+        if (guard > 0) {
+          // Grid-pruned guard zone, then the exact predicate: any *other*
+          // transmitter strictly inside D(u, ρ_c·R) spoils the channel.
+          // Transmitters outside the (inflated) ball are provably outside
+          // the guard zone.
+          grid->for_each_within(
+              cache.euclidean()->position(u),
+              guard * kGridInflation, [&](NodeId w) {
+                if (w == u || !ws.is_tx_[w.value]) return;
+                if (metric_->distance(w, u) < guard) clear = false;
+              });
+        }
+        if (clear && params.i_c < std::numeric_limits<double>::infinity() &&
+            out.interference[u.value] > params.i_c)
+          clear = false;
+      }
+      out.clear[u.value] = static_cast<std::uint8_t>(clear);
     }
-    out.clear[u.value] = static_cast<std::uint8_t>(clear);
+  };
+  if (shard_flags) {
+    pool->run_chunks(0, count, flags_body, chunk_len);
+  } else {
+    flags_body(0, count);
   }
 
   return out;

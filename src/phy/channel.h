@@ -130,6 +130,9 @@ class SlotWorkspace {
   std::vector<std::uint8_t> is_tx_;
   std::vector<double> best_signal_;
   std::vector<const double*> row_scratch_;  // gain-table row pointers
+  // Neighbour-list refill buffers of the mass-delivery/clear loop, one per
+  // pool chunk (threads entries).
+  std::vector<std::vector<NodeId>> neighbor_scratch_;
   TopologyCache cache_;
   std::unique_ptr<TaskPool> pool_;  // created when threads > 1
   FarFieldWorkspace far_field_;

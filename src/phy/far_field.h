@@ -40,31 +40,42 @@
 // hold — e.g. when ρ − δ does not clear the path-loss near-limit clamp, so
 // both d_cc and d(u,v) are guaranteed to be on the pure power-law branch.
 //
-// Cost: per slot, one pass bucketing the |S| transmitters into cells, one
-// counting sort of the n listeners by cell, a cells × tx-cells aggregation
-// whose signal factors come from a translation-invariant offset table (one
-// pow per distinct cell offset, not per pair), and an exact near sweep
-// whose per-listener work is bounded by the O(ρ²·density) transmitters
-// nearby — independent of n. The O(|S|·n) pairwise wall disappears. Three choices keep the constant small without
+// Cost: per slot, one pass bucketing the |S| transmitters into cells, a
+// cells × tx-cells aggregation whose signal factors come from a
+// translation-invariant offset table (one pow per distinct cell offset, not
+// per pair), and an exact near sweep whose per-listener work is bounded by
+// the O(ρ²·density) transmitters nearby — independent of n. The O(|S|·n)
+// pairwise wall disappears. Four choices keep the constant small without
 // changing a single bit of the result:
 //   - Kernel table with zeroed near offsets. The far pass reads a kernel
 //     that holds signal(d_cc) at far offsets and +0.0 at near offsets
 //     (d_cc < ρ), so it adds every tx cell unconditionally instead of
 //     branching. Adding count · (+0.0) = +0.0 to a non-negative partial sum
 //     changes no bit — the same argument as gain_table.h's zeroed diagonal.
-//   - Blocked accumulators. The kernel is stored mirrored along Δy (one row
-//     per |Δcx|, columns Δcy = −(ncy−1) … ncy−1), so K adjacent listener
-//     cells of one grid row read K contiguous entries per tx cell. The far
-//     pass carries K independent accumulators, one per listener cell, each
-//     still summing in ascending tx-cell order; ragged row ends take a
-//     scalar path. Tx cells are pre-split into (cx, cy) and a double count
-//     once per slot, so the inner loop does no integer division.
+//   - Row-major far pass. The kernel is stored mirrored along Δy (one row
+//     per |Δcx|, columns Δcy = −(ncy−1) … ncy−1), so the ncy listener cells
+//     of grid row cx read one contiguous kernel run per tx cell. Each job
+//     item is one grid row: its ncy sums start at +0.0 in the per-cell
+//     output, and every tx cell, in ascending key order, adds count · kernel
+//     over the whole row in one loop the compiler packs into SIMD lanes.
+//     Each cell still sums in ascending tx-cell order, so the row width and
+//     the thread count change no bit. Tx cells are pre-split into (cx, cy)
+//     and a double count once per slot, so the loop does no integer
+//     division.
 //   - Cached tables. The kernel and the near stencil (for each |Δcx|, the
 //     largest |Δcy| with d_cc < ρ) depend only on the grid shape
 //     (ncx, ncy), the cell side, ρ and the path-loss values (P, ζ, near
 //     limit) — not on the layout's origin or on which nodes transmit. They
 //     are rebuilt only when that key changes; the key holds the path-loss
 //     *values*, since power-scaled slots pass a temporary PathLoss.
+//   - Cached listener layout. The bounding box, the grid shape, every
+//     node's cell and the counting sort of listeners by cell depend only on
+//     the positions and the cell side. They are kept across slots, keyed on
+//     (metric address, metric version, n, cell), and rebuilt only when that
+//     key changes; only the transmitters are bucketed per slot. Like
+//     TopologyCache, the key takes the metric's address as its identity: a
+//     workspace must not outlive its metric into a new one at the same
+//     address.
 // The near sweep runs cell-major. Listeners are counting-sorted by cell
 // (ascending id within a cell). The near cells of one stencil row are a
 // contiguous cy range, so with the transmitters copied flat in (cell key,
@@ -75,7 +86,10 @@
 // as walking the stencil per listener, so the same bits, but the stencil
 // lookups are paid once per cell rather than once per listener. Each term
 // evaluates the same expressions as EuclideanMetric::distance and
-// PathLoss::signal inline.
+// PathLoss::signal inline. With a pool the listener cells are cut into
+// eight work chunks per thread, of about equal listener counts, which the
+// pool's threads claim as they finish the previous one, so no core waits
+// long on a slower one at the join.
 //
 // Fused SINR decode (optional, FarFieldDecode): the same loop tracks each
 // listener's strongest near signal s and its sender, and decides decode as
@@ -92,9 +106,10 @@
 // Determinism: the result is a pure function of (positions, transmitters,
 // params). Every far sum runs over tx cells in ascending key order, every
 // near sum over transmitters in (cell key, slot) order, and parallel phases
-// partition nodes or cells without ever splitting one accumulation: the
-// near sweep's chunks are ranges of listener cells, and each listener's sum
-// stays inside its cell's chunk. So any thread count produces bit-identical
+// partition nodes, grid rows or cells without ever splitting one
+// accumulation: the far pass's items are grid rows, the near sweep's chunks
+// are ranges of listener cells, and each listener's sum stays inside its
+// cell's chunk. So any thread count produces bit-identical
 // fields and decode decisions (the determinism audit checks far-field rows
 // for exactly this self-determinism; the approximation is *not*
 // bit-identical to the exact kernels, only ε-certified against them).
@@ -151,9 +166,10 @@ struct FarFieldDecode {
 };
 
 /// Reusable scratch for the approximate field (one per SlotWorkspace).
-/// Buffers are sized per slot but reuse capacity, and the offset tables are
-/// rebuilt only when their key changes ("Cached tables" above), so
-/// steady-state slots at a stable instance size do not allocate.
+/// Buffers are sized per slot but reuse capacity, and the offset tables and
+/// the listener layout are rebuilt only when their keys change ("Cached
+/// tables", "Cached listener layout" above), so steady-state slots at a
+/// stable instance size do not allocate.
 class FarFieldWorkspace {
  public:
   /// Approximate interference field into `field` (resized to metric.size();
@@ -192,10 +208,28 @@ class FarFieldWorkspace {
   std::vector<double> kernel_;
   std::vector<std::int32_t> near_half_;
 
-  // Listener cell index per node.
+  // Inputs the cached listener layout depends on (see "Cached listener
+  // layout" above).
+  struct LayoutKey {
+    const EuclideanMetric* metric = nullptr;
+    std::uint64_t version = 0;
+    std::size_t n = 0;
+    double cell = 0;
+    friend bool operator==(const LayoutKey&, const LayoutKey&) = default;
+  };
+  // Rebuild the listener layout for `key` and set layout_ok_.
+  void build_layout(const LayoutKey& key, std::span<const Vec2> pts,
+                    TaskPool* pool);
+
+  // Cached per layout key: whether the layout admits aggregation, the grid
+  // shape, each node's cell index, the listener ids sorted by (cell, id),
+  // and per cell c the index in by_cell_ of its first listener (size
+  // ncells + 1).
+  LayoutKey layout_key_;
+  bool layout_ok_ = false;
+  std::size_t ncx_ = 0;
+  std::size_t ncy_ = 0;
   std::vector<std::uint32_t> listener_cell_;
-  // Listener ids sorted by (cell, id), and per cell c the index in
-  // by_cell_ of its first listener (size ncells + 1).
   std::vector<std::uint32_t> by_cell_;
   std::vector<std::uint32_t> listener_start_;
   // Transmitters sorted by (cell key, slot order): first = cell key,
@@ -208,8 +242,9 @@ class FarFieldWorkspace {
     std::uint32_t id;
   };
   std::vector<NearTx> tx_;
-  // Near-sweep gather buffers: chunk k of the cell range owns the |S|
-  // entries starting at k·|S| (a cell's near transmitters never exceed |S|).
+  // Near-sweep gather buffers: work chunk k owns the b + 1 entries starting
+  // at k·(b + 1), where b is the most transmitters in any band of grid rows
+  // as tall as the near stencil (a cell's near transmitters never exceed b).
   std::vector<NearTx> gather_;
   // Per cell key c: index in tx_ of the first transmitter with cell key
   // >= c (size ncells + 1).
@@ -222,7 +257,8 @@ class FarFieldWorkspace {
     double count;
   };
   std::vector<TxCell> tx_cells_;
-  // Per-cell aggregated far signal.
+  // Per-cell aggregated far signal, key order (grid row cx is the ncy
+  // entries from cx·ncy on).
   std::vector<double> far_sum_;
 };
 

@@ -106,9 +106,9 @@ const SpatialGrid* TopologyCache::grid() {
   return &*grid_;
 }
 
-void TopologyCache::fill_neighbors(std::uint32_t u) {
-  std::vector<NodeId>& list = neighbor_lists_[u];
-  list.clear();
+void TopologyCache::fill_neighbors(std::uint32_t u,
+                                   std::vector<NodeId>& scratch) {
+  scratch.clear();
   const NodeId id(u);
   const double rb = comm_radius_;
   if (const SpatialGrid* g = grid(); g != nullptr) {
@@ -118,23 +118,29 @@ void TopologyCache::fill_neighbors(std::uint32_t u) {
                        [&](NodeId v) {
                          if (v == id || !alive_[v.value]) return;
                          if (metric_->distance(id, v) <= rb)
-                           list.push_back(v);
+                           scratch.push_back(v);
                        });
-    std::sort(list.begin(), list.end());
+    std::sort(scratch.begin(), scratch.end());
   } else {
     for (std::size_t v = 0; v < metric_->size(); ++v) {
       const NodeId other(static_cast<std::uint32_t>(v));
       if (other == id || !alive_[v]) continue;
-      if (metric_->distance(id, other) <= rb) list.push_back(other);
+      if (metric_->distance(id, other) <= rb) scratch.push_back(other);
     }
   }
+  // Built in the scratch and copied once, a first fill allocates the list
+  // at its exact size instead of growing it.
+  neighbor_lists_[u].assign(  // udwn-lint: allow(hot-path-alloc): first
+                              // fill or a grown neighbourhood only
+      scratch.begin(), scratch.end());
   neighbor_stamp_[u] = epoch_;
 }
 
-std::span<const NodeId> TopologyCache::neighbors(NodeId u) {
+std::span<const NodeId> TopologyCache::neighbors(NodeId u,
+                                                 std::vector<NodeId>& scratch) {
   UDWN_EXPECT(metric_ != nullptr);
   UDWN_EXPECT(u.value < neighbor_stamp_.size());
-  if (neighbor_stamp_[u.value] != epoch_) fill_neighbors(u.value);
+  if (neighbor_stamp_[u.value] != epoch_) fill_neighbors(u.value, scratch);
   return neighbor_lists_[u.value];
 }
 

@@ -75,8 +75,14 @@ class TopologyCache {
             std::span<const std::uint8_t> alive, std::uint64_t epoch);
 
   /// Alive neighbors of u: identical contents and (ascending id) order to
-  /// Channel::neighbors(u, alive). Valid until the next sync/mutation.
-  [[nodiscard]] std::span<const NodeId> neighbors(NodeId u);
+  /// Channel::neighbors(u, alive). Valid until the next sync/mutation. A
+  /// stale list is refilled through `scratch` (previous contents ignored)
+  /// and copied into u's list, so a first fill allocates it at its exact
+  /// size. Once grid() is current, a refill reads shared state and writes
+  /// only u's entries, so callers with their own scratch may read the lists
+  /// of distinct nodes concurrently.
+  [[nodiscard]] std::span<const NodeId> neighbors(
+      NodeId u, std::vector<NodeId>& scratch);
 
   /// Delta invalidation (the fast path the epoch mechanism falls back
   /// from): given the per-round TopologyDelta connecting the epoch this
@@ -125,7 +131,7 @@ class TopologyCache {
   [[nodiscard]] const EuclideanMetric* euclidean() const { return euclid_; }
 
  private:
-  void fill_neighbors(std::uint32_t u);
+  void fill_neighbors(std::uint32_t u, std::vector<NodeId>& scratch);
 
   const QuasiMetric* metric_ = nullptr;
   const PathLoss* pathloss_ = nullptr;

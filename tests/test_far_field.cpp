@@ -8,7 +8,8 @@
 // evaluation of the bit-exact definition in far_field.h pins every field
 // value across awkward grid shapes, thread counts and workspace reuse, and
 // the SINR decode settled inside the near sweep must equal a brute-force
-// gather over the far field's own interference.
+// gather over the far field's own interference, and the mass-delivery and
+// clear flags must equal their definitions over the slot's own outcome.
 #include "phy/far_field.h"
 
 #include <gtest/gtest.h>
@@ -54,7 +55,7 @@ void expect_certified(const std::vector<double>& exact,
 }
 
 // The far field written straight from its bit-exact definition in
-// far_field.h, with no tables, blocking or caching.
+// far_field.h, with no tables, row passes or caching.
 struct ReferenceField {
   std::vector<double> field;
   std::size_t ncx = 0;
@@ -257,7 +258,7 @@ TEST(FarField, BitwiseSelfDeterministicAcrossThreadCounts) {
 
 TEST(FarField, MatchesBitExactDefinition) {
   // ε = 2 at ζ = 3 puts ρ at ~3.2 cells, so even the small layouts below
-  // aggregate most tx cells. Each layout stresses one part of the blocked
+  // aggregate most tx cells. Each layout stresses one part of the row-major
   // far pass or the near sweep.
   const double cell = 0.3;
   struct Layout {
@@ -267,10 +268,12 @@ TEST(FarField, MatchesBitExactDefinition) {
     bool (*has_shape)(const ReferenceField&);  // the layout is what it says
   };
   const Layout layouts[] = {
-      // ncy below the far pass's block width: every row is a ragged end.
+      // ncy below the far pass's 8-wide unrolled body: every row runs only
+      // the scalar tail.
       {"short rows", random_rect(600, 24.0, 1.5, 9801), 0.2,
        [](const ReferenceField& r) { return r.ncy < 8; }},
-      // ncy above the block width and not a multiple of it.
+      // ncy above the unrolled width and not a multiple of it: body and
+      // tail.
       {"ragged rows", random_rect(800, 12.0, 3.9, 9802), 0.2,
        [](const ReferenceField& r) { return r.ncy > 8 && r.ncy % 8 != 0; }},
       // A single grid column.
@@ -285,8 +288,9 @@ TEST(FarField, MatchesBitExactDefinition) {
          return r.field.size() >= 8 * r.node_cells;
        }},
       // Cell-major sweep: runs of empty listener cells between the
-      // clusters, and a cell count that threads 3 and 5 do not divide, so
-      // the last chunk of the cell range is short.
+      // clusters, so some work chunks (cut at equal listener counts) are
+      // empty or span many empty cells, and a cell count that threads 3
+      // and 5 do not divide.
       {"clusters", clusters(150, {{0, 0}, {0, 7.5}, {6.6, 0}, {6.6, 7.5}},
                             9806),
        0.3,
@@ -327,8 +331,9 @@ TEST(FarField, MatchesBitExactDefinition) {
 }
 
 TEST(FarField, ReusedWorkspaceMatchesFreshOne) {
-  // One workspace carries cached offset tables from call to call; each
-  // change below alters their key and must give a fresh workspace's bits.
+  // One workspace carries cached offset tables and a cached listener layout
+  // from call to call; each change below alters one of their keys and must
+  // give a fresh workspace's bits.
   const double cell = 0.3;
   EuclideanMetric metric(test::random_points(900, 9.0, 9810));
   Rng rng(73);
@@ -355,8 +360,34 @@ TEST(FarField, ReusedWorkspaceMatchesFreshOne) {
   // Power scale change on the same layout.
   check(PathLoss(0.25, 3.0, 1e-3), "power scaled");
   check(pl, "power restored");
+  // Moves inside the bounding box: same n, cell side and grid shape (so the
+  // same offset tables), but the nodes' cells change and the layout must
+  // be rebuilt.
+  auto old_shape = shape;
+  metric.set_position(NodeId(1), {4.5, 4.5});
+  metric.set_position(NodeId(2), {0.7, 8.1});
+  metric.set_position(NodeId(3), metric.position(NodeId(4)));
+  check(pl, "nodes moved inside the box");
+  EXPECT_EQ(shape, old_shape);
+  // Another metric of the same size and version: a different layout.
+  {
+    EuclideanMetric other(test::random_points(900, 9.0, 9811));
+    while (other.version() < metric.version())
+      other.set_position(NodeId(0), other.position(NodeId(0)));
+    ASSERT_EQ(other.version(), metric.version());
+    const auto params = far_field_params(2.0, cell, pl);
+    ASSERT_TRUE(params.has_value());
+    const auto txs = sample_ids(other.size(), 0.25, rng);
+    std::vector<double> warm;
+    std::vector<double> fresh;
+    ASSERT_TRUE(reused.field_into(other, pl, txs, *params, warm, &pool));
+    FarFieldWorkspace fresh_ws;
+    ASSERT_TRUE(fresh_ws.field_into(other, pl, txs, *params, fresh, &pool));
+    expect_bitwise(fresh, warm, "other metric: reused vs fresh");
+  }
+  check(pl, "back to the first metric");
   // A move that widens the bounding box: new grid shape.
-  const auto old_shape = shape;
+  old_shape = shape;
   metric.set_position(NodeId(0), {11.5, 4.0});
   check(pl, "grid shape changed");
   EXPECT_NE(shape, old_shape);
@@ -575,6 +606,85 @@ TEST(FarField, FusedDecodeMatchesBruteForceGather) {
         }
       }
       EXPECT_GT(decodes, 100u);  // the comparison is not vacuous
+    }
+  }
+}
+
+TEST(FarField, MassDeliveryAndClearMatchBruteForce) {
+  // On the far-field path resolve() is no reference (its field is exact),
+  // so the mass-delivery and clear flags are checked against their
+  // definitions over the slot's own outcome: mass_delivered[u] iff every
+  // alive neighbour (Channel::neighbors) decoded u, and clear[u] iff
+  // ReceptionModel::clear_channel holds over the far field's interference.
+  // ~300 transmitters per slot put the flag loop on the pool at threads 4
+  // (64 per thread); threads 1 runs it serially. SINR fuses decode into
+  // the near sweep and has no guard zone; UDG decodes by scatter and
+  // prunes its guard zone with the grid.
+  constexpr double kEps = 2.0;
+  for (const ModelKind kind : {ModelKind::Sinr, ModelKind::Udg}) {
+    SCOPED_TRACE(test::model_name(kind));
+    Scenario scenario(test::random_points(3000, 30.0, 9950),
+                      test::config_for(kind));
+    const Channel& channel = scenario.channel();
+    Network& network = scenario.network();
+    EuclideanMetric& metric = *scenario.euclidean();
+    for (std::uint32_t v = 0; v < 3000; v += 29)
+      network.set_alive(NodeId(v), false);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      SlotWorkspace ws(SlotWorkspaceConfig{.far_field_eps = kEps,
+                                           .far_field_cell_factor = 0.8,
+                                           .threads = threads});
+      Rng rng(43);
+      std::size_t mass[2] = {0, 0};
+      std::size_t clear[2] = {0, 0};
+      for (int trial = 0; trial < 4; ++trial) {
+        // Moves between slots leave neighbour lists stale, so the flag
+        // loop refills them (on the pool at threads 4).
+        for (int m = 0; m < 40; ++m) {
+          const NodeId mover(static_cast<std::uint32_t>(rng.below(3000)));
+          const Vec2 p = metric.position(mover);
+          metric.set_position(mover, {p.x + rng.uniform(-0.3, 0.3),
+                                      p.y + rng.uniform(-0.3, 0.3)});
+        }
+        const auto txs = test::sample_transmitters(network, rng, 0.1);
+        ASSERT_GE(txs.size(), 64u * 4);
+        const double scale = trial % 2 == 0 ? 1.0 : 0.3;
+        const SlotOutcome& got =
+            channel.resolve_into(txs, network.alive_mask(), scale,
+                                 network.topology_epoch(), ws);
+        const PathLoss& base = channel.pathloss();
+        const PathLoss pl(base.power() * scale, base.zeta(),
+                          base.near_limit());
+        // The far-field path really ran: its field is not the exact one.
+        if (trial == 0) {
+          EXPECT_NE(interference_field(channel.metric(), pl, txs),
+                    got.interference);
+        }
+        const SlotView view{.metric = &channel.metric(),
+                            .pathloss = &pl,
+                            .transmitters = got.transmitters,
+                            .transmitting = ws.transmitting(),
+                            .interference = got.interference};
+        for (const NodeId u : txs) {
+          bool all = true;
+          for (const NodeId v : channel.neighbors(u, network.alive_mask()))
+            all = all && got.decoded_from[v.value] == u;
+          const bool is_clear =
+              channel.model().clear_channel(u, view, channel.epsilon());
+          EXPECT_EQ(got.mass_delivered[u.value], all ? 1 : 0)
+              << "node " << u.value;
+          EXPECT_EQ(got.clear[u.value], is_clear ? 1 : 0)
+              << "node " << u.value;
+          ++mass[all];
+          ++clear[is_clear];
+        }
+      }
+      // Both values of both flags occur: the comparison is not vacuous.
+      EXPECT_GT(mass[0], 0u);
+      EXPECT_GT(mass[1], 0u);
+      EXPECT_GT(clear[0], 0u);
+      EXPECT_GT(clear[1], 0u);
     }
   }
 }

@@ -2,7 +2,8 @@
 // grid-pruned / parallel / sharded) must be bit-for-bit identical to the
 // brute-force reference Channel::resolve under every configuration — all
 // reception models, gain-table shapes, thread counts, power scales, and
-// under churn + mobility invalidation. Asymmetric quasi-metrics
+// under churn + mobility invalidation, also with the mass-delivery/clear
+// loop sharded over the pool. Asymmetric quasi-metrics
 // additionally must never be grid-pruned (the grid is Euclidean-only by
 // contract).
 #include <gtest/gtest.h>
@@ -84,6 +85,49 @@ INSTANTIATE_TEST_SUITE_P(AllModels, SlotPipelineModels,
                          [](const auto& info) {
                            return test::model_name(info.param);
                          });
+
+TEST_P(SlotPipelineModels, ShardedFlagLoopMatchesReference) {
+  // At least 64 transmitters per thread put the mass-delivery/clear loop
+  // on the pool (threads 3: >= 192 per slot). Churn and moves between
+  // slots leave neighbour lists stale, so the pool chunks refill them.
+  // The sparse layout keeps both values of both flags in play.
+  constexpr std::uint32_t kNodes = 1000;
+  Scenario scenario(test::random_points(kNodes, 40.0, 7008),
+                    test::config_for(GetParam()));
+  const Channel& channel = scenario.channel();
+  Network& network = scenario.network();
+  EuclideanMetric& metric = *scenario.euclidean();
+  Rng rng(101);
+  SlotWorkspace ws({.threads = 3});
+  std::size_t mass[2] = {0, 0};
+  std::size_t clear[2] = {0, 0};
+  for (int trial = 0; trial < 4; ++trial) {
+    for (int m = 0; m < 20; ++m) {
+      const NodeId v(static_cast<std::uint32_t>(rng.below(kNodes)));
+      if (m % 4 == 0) {
+        network.set_alive(v, !network.alive(v));
+        continue;
+      }
+      const Vec2 p = metric.position(v);
+      metric.set_position(v, {p.x + rng.uniform(-0.5, 0.5),
+                              p.y + rng.uniform(-0.5, 0.5)});
+    }
+    const auto txs = test::sample_transmitters(network, rng, 0.25);
+    ASSERT_GE(txs.size(), 64u * 3);
+    const double scale = trial % 2 == 0 ? 1.0 : 0.3;
+    EXPECT_TRUE(test::resolves_exactly(channel, network, txs, ws, scale))
+        << "trial " << trial;
+    const SlotOutcome ref = channel.resolve(txs, network.alive_mask(), scale);
+    for (const NodeId u : txs) {
+      ++mass[ref.mass_delivered[u.value] != 0];
+      ++clear[ref.clear[u.value] != 0];
+    }
+  }
+  EXPECT_GT(mass[0], 0u);
+  EXPECT_GT(mass[1], 0u);
+  EXPECT_GT(clear[0], 0u);
+  EXPECT_GT(clear[1], 0u);
+}
 
 TEST(SlotPipeline, CacheInvalidatesUnderChurnAndMobility) {
   Scenario scenario(test::random_points(50, 5.0, 7002), test::default_config());
@@ -189,6 +233,7 @@ TEST(SlotPipeline, CachedNeighborsMatchChannelNeighbors) {
   Network& network = scenario.network();
   Rng rng(13);
   SlotWorkspace ws;
+  std::vector<NodeId> scratch;
 
   for (int round = 0; round < 5; ++round) {
     network.set_alive(NodeId(static_cast<std::uint32_t>(rng.below(45))), round % 2 == 0);
@@ -197,7 +242,7 @@ TEST(SlotPipeline, CachedNeighborsMatchChannelNeighbors) {
     (void)channel.resolve_into(txs, network.alive_mask(), 1.0,
                                network.topology_epoch(), ws);
     for (std::uint32_t u = 0; u < 45; ++u) {
-      const auto cached = ws.cache().neighbors(NodeId(u));
+      const auto cached = ws.cache().neighbors(NodeId(u), scratch);
       EXPECT_EQ(std::vector<NodeId>(cached.begin(), cached.end()),
                 channel.neighbors(NodeId(u), network.alive_mask()))
           << "node " << u;

@@ -464,6 +464,7 @@ void expect_cached_neighbors_match(
   network.set_track_changes(true);
   SlotWorkspace ws;
   const std::vector<NodeId> silent;
+  std::vector<NodeId> scratch;
   Rng rng(17);
   for (int round = 0; round < 30; ++round) {
     SCOPED_TRACE(round);
@@ -475,7 +476,8 @@ void expect_cached_neighbors_match(
     (void)channel.resolve_into(silent, network.alive_mask(), 1.0,
                                network.topology_epoch(), ws);
     for (std::uint32_t u = 0; u < network.size(); ++u) {
-      const std::span<const NodeId> got = ws.cache().neighbors(NodeId(u));
+      const std::span<const NodeId> got =
+          ws.cache().neighbors(NodeId(u), scratch);
       ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()),
                 channel.neighbors(NodeId(u), network.alive_mask()))
           << "node " << u;
