@@ -23,6 +23,10 @@ constexpr double kMinCells = 64.0;
 // 1 and 4, and 16 gained nothing more).
 constexpr std::size_t kSweepChunksPerThread = 8;
 
+// Near-sweep terms evaluated per batched PathLoss::signals call (stack
+// scratch of one sweep chunk).
+constexpr std::ptrdiff_t kTermRun = 256;
+
 // out[j] += w · k[j] for j < m: one rounded multiply and one rounded add
 // per entry, the same expression a scalar loop evaluates. The unrolled
 // eight-statement body is what GCC's SLP vectorizer packs into mulpd/addpd
@@ -303,8 +307,8 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
   // slot) order — and each of its listeners adds them, self excluded (a
   // transmitter's own cell is always near, d_cc = 0), to the aggregated far
   // signal. Work chunks are cell ranges holding about n / chunks listeners
-  // each; chunk k gathers into its own slice of gather_. The terms are the
-  // inline PathLoss::signal(u, v), bit for bit
+  // each; chunk k gathers into its own slice of gather_. The terms are
+  // PathLoss::signals of hypot(u − v), bit for bit
   // PathLoss::signal(EuclideanMetric::distance(u, v)); the local copy keeps
   // P, ζ and the near limit in registers. The strongest term and its
   // sender feed the fused decode.
@@ -347,6 +351,7 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
   const double beta = decode != nullptr ? decode->beta : 0.0;
   const double noise = decode != nullptr ? decode->noise : 0.0;
   auto sweep_body = [&](std::size_t k_lo, std::size_t k_hi) {
+    double terms[kTermRun];
     for (std::size_t k = k_lo; k < k_hi; ++k) {
       NearTx* const near = gather_.data() + k * stride;
       for (std::size_t c = chunk_start(k), c_end = chunk_start(k + 1);
@@ -387,14 +392,26 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
           double acc = far;
           double best = -1;
           std::uint32_t best_id = 0;
-          for (const NearTx* u = near; u != near_end; ++u) {
-            if (u->id == v) continue;
-            const double s = pl.signal(Vec2{u->x, u->y}, listener);
-            acc += s;
-            if (s > best) {
-              best = s;
-              best_id = u->id;
+          // Terms in runs of kTermRun: distances, one batched signals call,
+          // then the sum in transmitter order. The self term is computed
+          // with the rest and skipped in the sum.
+          for (const NearTx* run = near; run != near_end;) {
+            const auto len = static_cast<std::size_t>(
+                std::min<std::ptrdiff_t>(near_end - run, kTermRun));
+            for (std::size_t t = 0; t < len; ++t)
+              terms[t] = std::hypot(run[t].x - listener.x,
+                                    run[t].y - listener.y);
+            pl.signals({terms, len});
+            for (std::size_t t = 0; t < len; ++t) {
+              if (run[t].id == v) continue;
+              const double s = terms[t];
+              acc += s;
+              if (s > best) {
+                best = s;
+                best_id = run[t].id;
+              }
             }
+            run += len;
           }
           field[v] = acc;
           if (decode != nullptr && decode->alive[v] &&
