@@ -122,10 +122,9 @@ BENCHMARK(BM_EngineRound)->Arg(128)->Arg(512)->Arg(2048);
 // Bounded mobility: a 1/32 fraction of the nodes drifts each round — the
 // paper's regime of rate-limited edge dynamics — so the per-round cache
 // work scales with the movers (one grid move each, plus a grid query per
-// neighbor list a transmitter reads). Narrow gain tiles (1024 columns)
-// localize the column damage of each mover.
+// neighbor list a transmitter reads).
 void BM_EngineRoundMobility(benchmark::State& state) {
-  engine_rounds(state, {.seed = 5, .gain_tile_cols = 1024}, 50,
+  engine_rounds(state, {.seed = 5}, 50,
                 [](Scenario& s, double extent) {
                   return std::make_unique<WaypointMobility>(
                       *s.euclidean(),
@@ -141,7 +140,7 @@ BENCHMARK(BM_EngineRoundMobility)->Arg(2048)->Arg(8192);
 // only the neighbor lists the round's transmitters read (one grid query
 // each); the arrival's move is the only gain-column damage.
 void BM_EngineRoundChurn(benchmark::State& state) {
-  engine_rounds(state, {.seed = 6, .gain_tile_cols = 1024}, 50,
+  engine_rounds(state, {.seed = 6}, 50,
                 [](Scenario&, double extent) {
                   return std::make_unique<ChurnDynamics>(
                       ChurnDynamics::Config{.arrival_rate = 1.0,

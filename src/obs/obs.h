@@ -37,12 +37,12 @@ struct ObsConfig {
   /// by default; the 5% overhead gate (tools/obs_overhead_check.py) covers
   /// the default tier, and BM_EngineRoundObsStates documents this one.
   bool state_transitions = false;
-  /// Emit a kShardSpan trace event from each pool worker that executes an
-  /// interference-field shard (sharded slot pipeline only). Off by default:
-  /// worker-side events land in per-thread rings whose merge order is
-  /// scheduling-dependent, so the default trace stream stays bit-identical
-  /// across thread counts (the obs-on audit row relies on this). Turn on
-  /// for udwn_trace's per-worker shard-timing view.
+  /// Emit a kShardSpan trace event from each thread that runs a chunk of
+  /// the gain-table field driver (interference_field_planned). Off by
+  /// default: worker-side events land in per-thread rings whose merge order
+  /// is scheduling-dependent, so the default trace stream stays
+  /// bit-identical across thread counts (the obs-on audit row relies on
+  /// this). Turn on for udwn_trace's per-worker shard-timing view.
   bool worker_spans = false;
 };
 

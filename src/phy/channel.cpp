@@ -42,7 +42,7 @@ SlotWorkspace::SlotWorkspace(SlotWorkspaceConfig config)
     : config_(config),
       cache_(TopologyCache::Config{
           .gain_budget_bytes = config.gain_budget_bytes,
-          .gain_tile_cols = config.gain_tile_cols}) {
+          .threads = config.threads}) {
   UDWN_EXPECT(config.threads >= 1);
   neighbor_scratch_.resize(static_cast<std::size_t>(config.threads));
   if (config.threads > 1)
@@ -260,74 +260,6 @@ void Channel::decode_gather(const SlotView& view, const PathLoss& pl,
   }
 }
 
-void Channel::sharded_field(GainTable& gains,
-                            std::span<const NodeId> transmitters,
-                            SlotWorkspace& ws) const {
-  // Intra-scenario sharding: the caller already ran plan_rows (serial LRU
-  // bookkeeping — every tile pinned, stamped, and queued), so each pool
-  // chunk owns a contiguous range of listener blocks and (a) fills the
-  // stale tiles of its blocks, then (b) accumulates its columns — one fused
-  // pass per shard, so a freshly filled tile is still cache-hot when the
-  // kernel reads it. Chunks partition blocks: tile fills and column writes
-  // are disjoint across shards, and each listener's sum still accumulates
-  // in exact transmitter order, so the field is bit-identical to the
-  // unsharded kernel for any thread count.
-  const std::size_t n = gains.size();
-  const std::size_t blocks = gains.blocks();
-  std::vector<double>& field = ws.outcome_.interference;
-  field.assign(n, 0.0);  // udwn-lint: allow(hot-path-alloc): warm-up sizing
-  const std::size_t count = transmitters.size();
-  std::vector<const double*>& rs = ws.row_scratch_;
-  rs.clear();
-  const std::size_t need = count * blocks;
-  if (rs.capacity() < need)
-    rs.reserve(need);  // udwn-lint: allow(hot-path-alloc): warm-up sizing
-  for (const NodeId u : transmitters)
-    for (std::size_t b = 0; b < blocks; ++b) {
-      // Valid already: plan_rows made every tile resident (a pointer lasts
-      // until its tile is evicted or the table is rebound); contents may
-      // still be stale until the owning shard's fill_planned below.
-      const double* row = gains.row_block(u, b);
-      UDWN_ASSERT(row != nullptr);
-      rs.push_back(row);  // udwn-lint: allow(hot-path-alloc): reserve-backed
-    }
-  const double* const* rows = rs.data();
-
-  Obs* obs = ws.config_.obs;
-  const bool spans = obs != nullptr && obs->events_enabled() &&
-                     obs->config().worker_spans;
-  auto body = [&](std::size_t block_lo, std::size_t block_hi) {
-    // Ceil-divided chunking can hand the last worker an empty range; skip
-    // it entirely (block_begin(block_lo) would be out of range, and a
-    // zero-width span is pure noise).
-    if (block_lo >= block_hi) return;
-    // Span timing is observability-only: it can never influence chunk
-    // boundaries or any accumulation below.
-    const std::uint64_t t0 =
-        spans ? obs_now_ns() : 0;  // udwn-lint: allow(det-wall-clock): span
-    gains.fill_planned(block_lo, block_hi);
-    for (std::size_t b = block_lo; b < block_hi; ++b)
-      accumulate_columns(rows + b, blocks, count,
-                         field.data() + gains.block_begin(b), 0,
-                         gains.block_cols(b));
-    if (spans) {
-      // Worker-side span event: lands in the executing worker's ring, so
-      // cross-ring merge order is scheduling-dependent — which is exactly
-      // why ObsConfig::worker_spans is opt-in (see trace.h).
-      TraceSink::Writer writer = obs->trace().writer();
-      writer.emit(TraceEvent{
-          .round = ws.obs_round_,
-          .kind = static_cast<std::uint16_t>(EventKind::kShardSpan),
-          .slot = ws.obs_slot_,
-          .node = static_cast<std::uint32_t>(gains.block_begin(block_lo)),
-          .aux = static_cast<std::uint32_t>(block_hi - block_lo),
-          .value =
-              obs_now_ns() - t0});  // udwn-lint: allow(det-wall-clock): span
-    }
-  };
-  ws.pool_->run_chunks(0, blocks, body);
-}
-
 const SlotOutcome& Channel::resolve_into(
     std::span<const NodeId> transmitters,
     std::span<const std::uint8_t> alive, double power_scale,
@@ -359,8 +291,8 @@ const SlotOutcome& Channel::resolve_into(
   for (NodeId u : transmitters) {
     UDWN_EXPECT(u.value < n);
     UDWN_EXPECT(alive[u.value]);
-    // Unique ids are part of the resolve_into contract (parallel row
-    // prefill relies on it).
+    // Unique ids are part of the resolve_into contract (the pooled
+    // mass-delivery/clear loop relies on it).
     UDWN_EXPECT(!ws.is_tx_[u.value]);
     ws.is_tx_[u.value] = 1;
   }
@@ -371,10 +303,9 @@ const SlotOutcome& Channel::resolve_into(
   // every partial sum is non-negative); without it, the same expression is
   // evaluated in place. Either way each field element accumulates in
   // transmitter order, so the result is bit-identical to the serial
-  // brute-force kernel regardless of chunk count or kernel choice (chunks
-  // partition listeners, never the transmitter sum).
+  // brute-force kernel regardless of chunk count, tile width or kernel
+  // choice (chunks partition listeners, never the transmitter sum).
   GainTable* gains = cache.gains();
-  bool rows = false;
   bool field_done = false;
   bool decoded = false;
   const double decode_radius =
@@ -412,30 +343,17 @@ const SlotOutcome& Channel::resolve_into(
     }
   }
 
-  if (!field_done && unscaled && gains != nullptr) {
-    // Sharded path: with a pool and at least one listener block per thread,
-    // plan the rows serially, then fill tiles and accumulate columns fused
-    // per shard (sharded_field). Otherwise fill everything via ensure_rows
-    // and run one kernel over the whole field. Both bit-identical.
-    const bool shard =
-        pool != nullptr &&
-        gains->blocks() >= static_cast<std::size_t>(pool->threads());
-    if (shard) {
-      rows = gains->plan_rows(transmitters);
-      if (rows) {
-        sharded_field(*gains, transmitters, ws);
-        field_done = true;
-      }
-    } else {
-      rows = gains->ensure_rows(transmitters, pool);
-      if (rows) {
-        interference_field_soa(*gains, transmitters, ws.row_scratch_,
-                               out.interference, pool);
-        field_done = true;
-      }
-    }
-  }
-  if (!field_done) {
+  // The gain-table path: plan the rows serially, then fill tiles and
+  // accumulate columns fused per listener block chunk. The table holds
+  // unscaled gains, so a power-scaled slot — like a table that is off or
+  // over budget — evaluates the same sum in place.
+  const bool rows = !field_done && unscaled && gains != nullptr &&
+                    gains->plan_rows(transmitters);
+  if (rows) {
+    interference_field_planned(
+        *gains, transmitters, ws.row_scratch_, out.interference, pool,
+        {.obs = ws.config_.obs, .round = ws.obs_round_, .slot = ws.obs_slot_});
+  } else if (!field_done) {
     interference_field_into(*metric_, pl, transmitters, out.interference,
                             pool);
   }

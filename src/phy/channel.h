@@ -15,9 +15,11 @@
 //                      SlotWorkspace (no steady-state allocation), serves
 //                      neighborhoods and pairwise gains from an epoch-
 //                      invalidated TopologyCache (which the engine also
-//                      freshens with per-round deltas), prunes decode/clear
-//                      candidates with a SpatialGrid on Euclidean
-//                      instances, and can run the interference kernel on a
+//                      freshens with per-round deltas), sums the field in
+//                      one gain-table driver (plan_rows, then fill and
+//                      accumulate per listener block: interference.h),
+//                      prunes decode/clear candidates with a SpatialGrid on
+//                      Euclidean instances, and can run its kernels on a
 //                      deterministic TaskPool. With far_field_eps == 0 its
 //                      SlotOutcome is bit-for-bit identical to resolve()'s
 //                      for every configuration — see docs/ENGINE.md.
@@ -63,9 +65,6 @@ struct SlotWorkspaceConfig {
   /// 0 disables gain caching. Any instance size is cached within budget —
   /// this replaces the old hard gain_cache_max_nodes = 4096 cliff.
   std::size_t gain_budget_bytes = std::size_t{128} << 20;
-  /// Listener columns per gain tile (power of two). Small values exist for
-  /// tests that exercise multi-block rows at small n.
-  std::size_t gain_tile_cols = 4096;
   /// Certified far-field approximation (see far_field.h): aggregate
   /// transmitters beyond a derived separation radius per spatial cell, with
   /// worst-case relative field error <= far_field_eps. 0 (default) = exact.
@@ -78,11 +77,11 @@ struct SlotWorkspaceConfig {
   /// of the reception model's max range (smaller cells tighten ρ for a
   /// given ε at the cost of more cells).
   double far_field_cell_factor = 2.0;
-  /// Worker threads for the interference kernel (including the caller);
-  /// 1 = serial. Any value produces bit-identical outcomes. With a pool and
-  /// at least one gain-table listener block per thread, the field is
-  /// sharded by block: each shard fills its stale tiles and accumulates its
-  /// columns in one fused pass (see Channel::sharded_field).
+  /// Worker threads for the slot kernels (including the caller); 1 =
+  /// serial. Any value produces bit-identical outcomes. The gain table's
+  /// tile width is worked out from it (gain_tile_width), so every thread
+  /// gets a listener block: each fills its stale tiles and accumulates its
+  /// columns in one fused pass (interference_field_planned).
   int threads = 1;
   /// Observability handle (see obs/obs.h); null disables all
   /// instrumentation at the cost of one branch per site. The handle must
@@ -184,8 +183,6 @@ class Channel {
   [[nodiscard]] double epsilon() const { return epsilon_; }
 
  private:
-  void sharded_field(GainTable& gains, std::span<const NodeId> transmitters,
-                     SlotWorkspace& ws) const;
   void decode_scatter(const SlotView& view, const PathLoss& pl,
                       const GainTable* gains,
                       std::span<const std::uint8_t> alive,

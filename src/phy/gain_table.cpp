@@ -45,8 +45,19 @@ void write_cells(double* dst, std::size_t count,
 
 }  // namespace
 
+std::size_t gain_tile_width(std::size_t n, int threads,
+                            std::size_t max_cols) {
+  UDWN_EXPECT(threads >= 1 && is_power_of_two(max_cols));
+  // ceil(n / w) >= threads  <=>  n > w * (threads - 1), for n > 0.
+  const auto spare = static_cast<std::size_t>(threads - 1);
+  std::size_t width = max_cols;
+  while (width > 1 && n > 0 && n <= width * spare) width /= 2;
+  return width;
+}
+
 GainTable::GainTable(Config config) : config_(config) {
   UDWN_EXPECT(is_power_of_two(config.tile_cols));
+  UDWN_EXPECT(config.threads >= 1);
 }
 
 void GainTable::bind(const QuasiMetric& metric, const PathLoss& pathloss) {
@@ -54,7 +65,7 @@ void GainTable::bind(const QuasiMetric& metric, const PathLoss& pathloss) {
   euclid_ = dynamic_cast<const EuclideanMetric*>(&metric);
   pathloss_ = &pathloss;
   n_ = metric.size();
-  tile_cols_ = config_.tile_cols;
+  tile_cols_ = gain_tile_width(n_, config_.threads, config_.tile_cols);
   col_shift_ = log2_of(tile_cols_);
   blocks_ = n_ == 0 ? 0 : (n_ + tile_cols_ - 1) / tile_cols_;
   // One full row per slot when a row fits a single tile — no ragged waste
@@ -67,7 +78,7 @@ void GainTable::bind(const QuasiMetric& metric, const PathLoss& pathloss) {
   enabled_ = blocks_ > 0 && max_tiles_ >= blocks_;
   if (!enabled_ && blocks_ > 0 && config_.budget_bytes > 0) {
     // A nonzero budget that cannot hold even one row of tiles would thrash
-    // the LRU on every ensure_rows; stay off, count it, and say so once
+    // the LRU on every plan_rows; stay off, count it, and say so once
     // (zero budget is a deliberate off switch and stays silent). The slot
     // pipeline falls back to per-lookup recomputation — same bits, slower.
     ++stats_.disabled_binds;
@@ -263,9 +274,9 @@ bool GainTable::plan_rows(std::span<const NodeId> sources) {
         const bool patch = stamp != 0 && stamp - 1 >= horizon_ &&
                            col_version_[u.value] < stamp;
         cells += patch ? moved_cols(b, stamp - 1) : block_cols(b);
-        // Stamp now, fill later (ensure_rows or the caller's fill_planned
-        // shards): sources may repeat across calls but tiles enter the fill
-        // list exactly once, keeping parallel fills disjoint.
+        // Stamp now, fill later (fill_planned, per block chunk): sources
+        // may repeat across calls but tiles enter the fill list exactly
+        // once, keeping parallel fills disjoint.
         tile_stamp_[tile] = fresh;
         fill_tiles_.push_back({tile, patch ? stamp : 0});
       }
@@ -285,18 +296,12 @@ void GainTable::fill_planned(std::size_t block_lo, std::size_t block_hi) {
 
 bool GainTable::ensure_rows(std::span<const NodeId> sources, TaskPool* pool) {
   if (!plan_rows(sources)) return false;
-  if (fill_tiles_.empty()) return true;
-  if (pool != nullptr && pool->threads() > 1 && fill_tiles_.size() > 1) {
-    // Distinct tiles occupy distinct slots, so fills write disjoint storage
-    // ranges; contents are pure functions of (metric, pathloss, tile), so
-    // the result is schedule-independent.
-    pool->run_chunks(0, fill_tiles_.size(),
-                     [&](std::size_t lo, std::size_t hi) {
-                       for (std::size_t i = lo; i < hi; ++i)
-                         fill_tile(fill_tiles_[i]);
-                     });
+  if (pool != nullptr) {
+    pool->run_chunks(0, blocks_, [this](std::size_t lo, std::size_t hi) {
+      fill_planned(lo, hi);
+    });
   } else {
-    for (const PendingFill& fill : fill_tiles_) fill_tile(fill);
+    fill_planned(0, blocks_);
   }
   return true;
 }

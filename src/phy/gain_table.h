@@ -7,7 +7,10 @@
 // lost all caching. GainTable replaces that cliff with a tiled table:
 //
 //   * a *tile* is one contiguous column block of one source row —
-//     `tile_cols` listener entries (the last block of a row may be ragged);
+//     `tile_cols` listener entries (the last block of a row may be ragged).
+//     The width is worked out at bind from n and the driver's thread count
+//     (gain_tile_width): the widest power of two, up to Config::tile_cols,
+//     that still gives every thread a listener block of its own;
 //   * tiles are materialized lazily into fixed-size slots, bounded by
 //     `budget_bytes`, and evicted in least-recently-ensured order, so any n
 //     gets cache benefits for its per-slot working set (the transmitter
@@ -62,14 +65,14 @@
 // loop. (Readers that need the true self gain — no current caller does —
 // must not use this table.)
 //
-// Determinism: eviction order depends only on the sequence of ensure_rows
+// Determinism: eviction order depends only on the sequence of plan_rows
 // and demote calls (source order within a call is the caller's transmitter
-// order), never on thread scheduling; parallel tile fills write disjoint
-// slots.
+// order), never on thread scheduling; fills of disjoint block ranges write
+// disjoint slots.
 // The patch-or-refill decision is made serially at plan time; fills only
 // read col_version_, so any thread count computes the same cells.
 // Reads (row_block / cell) are const and touch no LRU state, so concurrent
-// readers after an ensure_rows are race-free.
+// readers after a plan and its fills are race-free.
 #pragma once
 
 #include <cstdint>
@@ -86,11 +89,20 @@ namespace udwn {
 
 class EuclideanMetric;
 
+/// Tile width for `n` listeners read by `threads` field threads: the widest
+/// power of two w <= max_cols with ceil(n / w) >= threads, so every thread
+/// gets a listener block. Where no width can (0 < n < threads) it is 1, one
+/// block per listener; at n = 0 it is max_cols. The width never changes a
+/// gain, only how the table is cut into tiles.
+[[nodiscard]] std::size_t gain_tile_width(std::size_t n, int threads,
+                                          std::size_t max_cols);
+
 class GainTable {
  public:
   struct Config {
-    /// Listener columns per tile; must be a power of two. One tile is
-    /// tile_cols * 8 bytes (32 KiB at the default).
+    /// Upper bound on the listener columns per tile; must be a power of
+    /// two. bind narrows the tiles below it as gain_tile_width says. One
+    /// tile is at most tile_cols * 8 bytes (32 KiB at the default).
     std::size_t tile_cols = 4096;
     /// Upper bound on resident tile storage: caps how many tiles are
     /// resident at once (min(budget, n² entries) is reserved as address
@@ -99,18 +111,23 @@ class GainTable {
     /// the old flat-table footprint (n=4096 → 128 MiB) but now bounds *any*
     /// n instead of gating on it.
     std::size_t budget_bytes = std::size_t{128} << 20;
+    /// Threads of the field driver that reads the table (including the
+    /// caller); the tile width is worked out from it at bind.
+    int threads = 1;
   };
 
   GainTable() : GainTable(Config{}) {}
   explicit GainTable(Config config);
 
   /// Bind to a topology, dropping all residency and releasing all memory
-  /// (the next plan_rows allocates again). Called on workspace rebind (new
-  /// metric/pathloss object or changed instance size), not per slot.
+  /// (the next plan_rows allocates again), and set the tile width to
+  /// gain_tile_width(n, config.threads, config.tile_cols). Called on
+  /// workspace rebind (new metric/pathloss object or changed instance
+  /// size), not per slot.
   void bind(const QuasiMetric& metric, const PathLoss& pathloss);
 
   /// True when the budget admits at least one full row of tiles for the
-  /// bound instance (the minimum ensure_rows can ever satisfy).
+  /// bound instance (the minimum plan_rows can ever satisfy).
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   [[nodiscard]] std::size_t size() const { return n_; }
@@ -125,27 +142,26 @@ class GainTable {
     return b + 1 == blocks_ ? n_ - b * tile_cols_ : tile_cols_;
   }
 
-  /// Make every tile of every source row resident and fresh, filling stale
-  /// tiles — patching only their moved columns when the row is clean (see
-  /// file comment) — in parallel when `pool` is given (tiles are distinct,
-  /// slots disjoint). Pins the sources' tiles for the duration of the call so a
-  /// call never evicts its own rows. Returns false — leaving freshness
-  /// state consistent — when the sources' tiles exceed the budget together;
-  /// callers then fall back to the uncached kernel (same bits, recomputed).
-  /// Row pointers of tiles that stay resident are unchanged by the call.
+  /// Make every tile of every source row resident and fresh: plan_rows,
+  /// then fill_planned over block chunks — on `pool` when given, inline
+  /// otherwise. Returns false when plan_rows does. Row pointers of tiles
+  /// that stay resident are unchanged by the call.
   bool ensure_rows(std::span<const NodeId> sources, TaskPool* pool);
 
-  /// Serial planning half of ensure_rows: acquire/pin slots for every tile
-  /// of every source row, stamp them fresh, and queue the stale ones for
-  /// filling — without filling. Returns false (freshness rolled back,
-  /// fallback counted) when the sources' tiles exceed the budget, exactly
-  /// like ensure_rows. After a true return, row_block pointers are already
-  /// valid (the storage never moves; a pointer lasts until its tile is
-  /// evicted or the table is rebound), but tiles queued for filling hold
-  /// stale data until fill_planned covers their block. The first call after
-  /// a bind allocates the table. This is the sharded-field entry point: the
-  /// slot pipeline plans once on the caller thread, then workers
-  /// fill-and-accumulate their own listener blocks (see docs/ENGINE.md).
+  /// Serial planning half of every fill: acquire/pin slots for every tile
+  /// of every source row (so a call never evicts its own rows), stamp them
+  /// fresh, and queue the stale ones for filling — patching only their
+  /// moved columns when the row is clean (see file comment) — without
+  /// filling. Returns false — freshness rolled back, fallback counted —
+  /// when the sources' tiles exceed the budget together; callers then fall
+  /// back to the uncached kernel (same bits, recomputed). After a true
+  /// return, row_block pointers are already valid (the storage never
+  /// moves; a pointer lasts until its tile is evicted or the table is
+  /// rebound), but tiles queued for filling hold stale data until
+  /// fill_planned covers their block. The first call after a bind
+  /// allocates the table. The slot pipeline plans once on the caller
+  /// thread, then interference_field_planned fills and accumulates each
+  /// listener block in one pass (see docs/ENGINE.md).
   bool plan_rows(std::span<const NodeId> sources);
 
   /// Fill every tile queued by the last plan_rows whose column block lies
@@ -158,9 +174,9 @@ class GainTable {
   /// Base pointer of row u's column block b, or nullptr unless resident and
   /// fresh. Entry j is the gain from u to listener block_begin(b) + j (with
   /// the diagonal stored as +0.0; see file comment). The address stays
-  /// the same until the tile is evicted (only a later ensure_rows /
-  /// plan_rows can evict it) or the table is rebound; the contents are the
-  /// tile's gains while it is fresh.
+  /// the same until the tile is evicted (only a later plan_rows can evict
+  /// it) or the table is rebound; the contents are the tile's gains while
+  /// it is fresh.
   [[nodiscard]] const double* row_block(NodeId u, std::size_t b) const;
 
   /// Pointer to the single gain entry (u → v), or nullptr unless the
@@ -172,7 +188,7 @@ class GainTable {
   /// the LRU order, so the next misses evict them before any other row.
   /// Contents, stamps, pins and row pointers are unchanged, and a row with
   /// no resident tile is left alone (no-op, not counted). A later
-  /// ensure_rows of u touches it back to the front like any row.
+  /// plan_rows of u touches it back to the front like any row.
   void demote(NodeId u);
 
   /// Delta invalidation: record `new_version` as the last move of every
@@ -180,7 +196,7 @@ class GainTable {
   /// resident tile that was fresh at `prev_version` and whose entries
   /// cannot involve a dirty node — source row not dirty, column block
   /// containing no dirty id — to `new_version`. Tiles left behind go stale
-  /// and are patched (or refilled) lazily in ensure_rows. `dirty` must list
+  /// and are patched (or refilled) lazily by the next plan. `dirty` must list
   /// every node whose distances may have changed in (prev_version,
   /// new_version] (the TopologyDelta::moved contract). Skipping this call
   /// is always sound: plan_rows sees the version advance without a delta
@@ -194,7 +210,7 @@ class GainTable {
   [[nodiscard]] const Config& config() const { return config_; }
 
   /// Lifetime cache statistics, maintained unconditionally (plain integer
-  /// bumps on the serial ensure_rows path — cheap enough to always keep).
+  /// bumps on the serial plan_rows path — cheap enough to always keep).
   /// The engine publishes per-round deltas to the metrics registry when an
   /// Obs handle is attached; tests read them directly.
   struct Stats {
@@ -203,7 +219,7 @@ class GainTable {
     std::uint64_t evictions = 0;   // resident tile displaced for a new one
     std::uint64_t fills = 0;       // tiles (re)computed or patched
     std::uint64_t cells = 0;       // gain entries computed by those fills
-    std::uint64_t fallbacks = 0;   // ensure_rows over budget -> uncached path
+    std::uint64_t fallbacks = 0;   // plan_rows over budget -> uncached path
     std::uint64_t freshened = 0;   // tiles restamped by apply_delta (no fill)
     std::uint64_t demotions = 0;   // rows with resident tiles retired
     std::uint64_t disabled_binds = 0;  // bind() left caching off: the budget
@@ -238,7 +254,7 @@ class GainTable {
 
   std::size_t n_ = 0;
   std::size_t blocks_ = 0;
-  std::size_t tile_cols_ = 0;   // == config_.tile_cols
+  std::size_t tile_cols_ = 0;   // gain_tile_width at bind
   std::uint32_t col_shift_ = 0;  // log2(tile_cols_)
   std::size_t stride_ = 0;      // doubles per slot (== n_ when blocks_ == 1)
   std::size_t max_tiles_ = 0;

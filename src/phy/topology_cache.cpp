@@ -16,8 +16,8 @@ constexpr double kGridInflation = 1.0 + 1e-9;
 }  // namespace
 
 TopologyCache::TopologyCache(Config config)
-    : gains_(GainTable::Config{.tile_cols = config.gain_tile_cols,
-                               .budget_bytes = config.gain_budget_bytes}) {}
+    : gains_(GainTable::Config{.budget_bytes = config.gain_budget_bytes,
+                               .threads = config.threads}) {}
 
 void TopologyCache::sync(const QuasiMetric& metric, const PathLoss& pathloss,
                          double comm_radius, double grid_cell,

@@ -59,8 +59,9 @@ class TopologyCache {
     /// gain caching entirely. Replaces the old hard n <= 4096 cliff: any
     /// instance size gets LRU-cached gain rows within this budget.
     std::size_t gain_budget_bytes = std::size_t{128} << 20;
-    /// Listener columns per gain tile (power of two).
-    std::size_t gain_tile_cols = 4096;
+    /// Threads of the field driver; the gain table's tile width is worked
+    /// out from it at bind (gain_tile_width).
+    int threads = 1;
   };
 
   TopologyCache() : TopologyCache(Config{}) {}
@@ -110,9 +111,9 @@ class TopologyCache {
 
   /// The tiled gain table bound to this topology, or nullptr when gain
   /// caching is disabled (zero budget, or budget below one row of tiles).
-  /// Callers ensure_rows() the slot's transmitters, then read row blocks /
-  /// cells; entries are bit-identical to the uncached expressions (self
-  /// entries stored as +0.0 — see gain_table.h).
+  /// Callers plan_rows() the slot's transmitters and fill them, then read
+  /// row blocks / cells; entries are bit-identical to the uncached
+  /// expressions (self entries stored as +0.0 — see gain_table.h).
   [[nodiscard]] GainTable* gains() {
     return gains_.enabled() ? &gains_ : nullptr;
   }

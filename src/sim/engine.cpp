@@ -21,7 +21,6 @@ Engine::Engine(const Channel& channel, Network& network,
       rng_(config.seed),
       workspace_(SlotWorkspaceConfig{
           .gain_budget_bytes = config.gain_budget_bytes,
-          .gain_tile_cols = config.gain_tile_cols,
           .far_field_eps = config.far_field_eps,
           .far_field_cell_factor = config.far_field_cell_factor,
           .threads = config.threads,

@@ -54,9 +54,10 @@ struct EngineConfig {
   std::uint64_t seed = 1;
   /// Worker threads for the slot pipeline's interference/decode kernels
   /// (including the calling thread); 1 = serial. Every value produces
-  /// bit-identical traces (enforced by tools/determinism_audit). When the
-  /// gain table has at least one listener block per thread, each slot's
-  /// field is sharded by block, fusing tile fills with accumulation. When
+  /// bit-identical traces (enforced by tools/determinism_audit). The gain
+  /// table's tile width is worked out from it, so each slot's field is
+  /// sharded by listener block, one or more per thread, fusing tile fills
+  /// with accumulation. When
   /// every protocol declares Protocol::isolated(), the per-node sampling
   /// and feedback sweeps are sharded by id range too.
   int threads = 1;
@@ -71,10 +72,6 @@ struct EngineConfig {
   double far_field_cell_factor = 2.0;
   /// Memory budget for the tiled LRU gain table; 0 disables gain caching.
   std::size_t gain_budget_bytes = std::size_t{128} << 20;
-  /// Listener columns per gain tile (power of two). Narrower tiles localize
-  /// delta invalidation — a mover dirties only the tiles whose column range
-  /// contains it — at the cost of more tile bookkeeping per slot.
-  std::size_t gain_tile_cols = 4096;
   /// Observability handle (obs/obs.h): counters, histograms and the binary
   /// round-event trace. Null (the default) disables all instrumentation —
   /// the off path is a branch on this pointer per site, with zero

@@ -218,16 +218,16 @@ TEST(SteadyStateAllocation, ObservabilityOnAlsoSettles) {
 }
 
 TEST(SteadyStateAllocation, SoaTiledTableWithEvictionSettles) {
-  // The SoA kernel + tiled gain table under LRU pressure: n = 64 with
-  // 16-column tiles is 4 blocks/row and 256 logical tiles, the 10 KiB
-  // budget holds 80 — every slot evicts. After warming over the exact
-  // transmitter sets that will be replayed, resolve_into must not allocate:
-  // tile storage, fill scratch and SoA row pointers are all reused.
+  // The field driver + tiled gain table under LRU pressure: 4 threads at
+  // n = 64 make 16-column tiles, 4 blocks/row and 256 logical tiles, and
+  // the 10 KiB budget holds 80 — every slot evicts. After warming over the
+  // exact transmitter sets that will be replayed, resolve_into must not
+  // allocate: tile storage, fill scratch and row pointers are all reused.
   Scenario scenario(test::random_points(64, 6.0, 8104),
                     test::default_config());
   const Channel& channel = scenario.channel();
   const Network& network = scenario.network();
-  SlotWorkspace ws({.gain_budget_bytes = 10240, .gain_tile_cols = 16});
+  SlotWorkspace ws({.gain_budget_bytes = 10240, .threads = 4});
 
   std::vector<std::vector<NodeId>> tx_sets;
   Rng rng(8105);
@@ -264,15 +264,14 @@ long long large_allocations_during(std::size_t bytes, Fn&& fn) {
 }
 
 TEST(GainTableAllocation, AllocatedOnFirstPlanNeverByFarFieldEngines) {
-  // n = 4096 with 8-column tiles is 512 blocks per row, so the table's
-  // per-tile metadata alone (n·blocks slot indices, 8 MiB) outweighs any
-  // other buffer an engine sizes. The far-field path never plans gain
-  // rows, so its engine must never allocate the table; the exact engine on
-  // the same instance allocates it on its first slot, not before.
+  // n = 4096 at the default width is one 4096-column block per row, and
+  // the default 128 MiB budget reserves tile storage for every row: n²
+  // doubles, one allocation that outweighs any other buffer an engine
+  // sizes. The far-field path never plans gain rows, so its engine must
+  // never allocate the table; the exact engine on the same instance
+  // allocates it on its first slot, not before.
   constexpr std::size_t kNodes = 4096;
-  constexpr std::size_t kTileCols = 8;
-  constexpr std::size_t kTableBytes =
-      kNodes * (kNodes / kTileCols) * sizeof(std::uint32_t);
+  constexpr std::size_t kTableBytes = kNodes * kNodes * sizeof(double);
   const double extent = std::sqrt(static_cast<double>(kNodes) / 8.0);
   Scenario scenario(test::random_points(kNodes, extent, 8108),
                     test::default_config());
@@ -288,8 +287,7 @@ TEST(GainTableAllocation, AllocatedOnFirstPlanNeverByFarFieldEngines) {
           scenario.channel(), scenario.network(), sensing, protocols,
           EngineConfig{.seed = 42,
                        .far_field_eps = far_field_eps,
-                       .far_field_cell_factor = 0.25,
-                       .gain_tile_cols = kTileCols});
+                       .far_field_cell_factor = 0.25});
     });
     const long long first =
         large_allocations_during(kTableBytes, [&] { engine->step(); });
@@ -335,17 +333,15 @@ std::uint64_t engine_trace_hash(const EngineConfig& config) {
 
 TEST(EngineWorkspace, PipelineConfigurationsShareOneTrace) {
   const std::uint64_t reference = engine_trace_hash(EngineConfig{.seed = 3});
-  EXPECT_EQ(reference, engine_trace_hash(EngineConfig{
-                           .seed = 3, .threads = 3}));
-  // Gain-table variants: table disabled, tiled multi-block rows, and the
-  // sharded field (16-column tiles: 4 blocks >= 4 threads at n = 56) all
+  // Sharded fields: 3 and 4 threads at n = 56 both make 16-column tiles,
+  // 4 blocks per row, and the table disabled runs the uncached kernel; all
   // reproduce the same trace.
   EXPECT_EQ(reference, engine_trace_hash(EngineConfig{
+                           .seed = 3, .threads = 3}));
+  EXPECT_EQ(reference, engine_trace_hash(EngineConfig{
+                           .seed = 3, .threads = 4}));
+  EXPECT_EQ(reference, engine_trace_hash(EngineConfig{
                            .seed = 3, .gain_budget_bytes = 0}));
-  EXPECT_EQ(reference, engine_trace_hash(EngineConfig{
-                           .seed = 3, .gain_tile_cols = 16}));
-  EXPECT_EQ(reference, engine_trace_hash(EngineConfig{
-                           .seed = 3, .threads = 4, .gain_tile_cols = 16}));
   // Observability must be a pure observer: attaching an Obs handle (alone
   // and combined with threads) cannot change the ground-truth trace.
   Obs obs(ObsConfig{.state_transitions = true});
@@ -356,10 +352,11 @@ TEST(EngineWorkspace, PipelineConfigurationsShareOneTrace) {
                            .seed = 3, .threads = 2, .obs = &obs_threaded}));
 }
 
-// Retiring dead gain rows. A static LocalBcast solve at n = 512 with
-// 64-column tiles (8 blocks per row); a node stops for good once ACK
-// certifies it, and the engine then retires its rows.
+// Retiring dead gain rows. A static LocalBcast solve at n = 512 on 8
+// threads, which make 64-column tiles (8 blocks per row); a node stops for
+// good once ACK certifies it, and the engine then retires its rows.
 constexpr std::size_t kSolveNodes = 512;
+constexpr int kSolveThreads = 8;
 constexpr std::size_t kSolveTileCols = 64;
 constexpr std::size_t kSolveBlocks = kSolveNodes / kSolveTileCols;
 
@@ -382,10 +379,10 @@ SolveRun local_bcast_solve(std::size_t budget_rows, bool async = false) {
                 EngineConfig{.slots_per_round = 1,
                              .async = async,
                              .seed = 8111,
+                             .threads = kSolveThreads,
                              .gain_budget_bytes = budget_rows * kSolveBlocks *
                                                   kSolveTileCols *
-                                                  sizeof(double),
-                             .gain_tile_cols = kSolveTileCols});
+                                                  sizeof(double)});
   TraceHashRecorder recorder;
   engine.set_recorder(&recorder);
   const auto solved = engine.run_until(
@@ -405,6 +402,8 @@ TEST(GainRowRetirement, StaticLocalBcastFillsEachTileOnce) {
   // not all 512: retiring the finished nodes' rows first means no live row
   // is ever evicted, so every tile is filled exactly once per solve.
   // Residency never changes a gain, so the trace equals the all-rows run.
+  ASSERT_EQ(gain_tile_width(kSolveNodes, kSolveThreads, 4096),
+            kSolveTileCols);
   const SolveRun tight = local_bcast_solve(192);
   const SolveRun all_rows = local_bcast_solve(kSolveNodes);
   EXPECT_EQ(tight.stats.fills, kSolveNodes * kSolveBlocks);

@@ -23,6 +23,49 @@ GainTable::Config tiny_tiles(std::size_t tile_cols, std::size_t tiles) {
                            .budget_bytes = tiles * tile_cols * 8};
 }
 
+TEST(GainTable, TileWidthGivesEveryThreadABlock) {
+  struct Case {
+    std::size_t n;
+    int threads;
+    std::size_t width;
+  };
+  const Case cases[] = {
+      {0, 1, 4096},     // no listener: nothing to split
+      {0, 4, 4096},
+      {3, 4, 1},        // n < threads: one column per block
+      {60, 1, 4096},    // one thread: the widest tile at any n
+      {8192, 1, 4096},
+      {8192, 2, 4096},  // two threads at 8k: two full tiles
+      {60, 3, 16},
+      {56, 4, 16},
+      {48, 4, 8},
+      {49, 4, 16},      // ragged: ceil(49 / 16) is exactly 4
+      {8193, 3, 4096},  // ragged: ceil(8193 / 4096) is exactly 3
+  };
+  for (const Case& c : cases) {
+    const std::size_t width = gain_tile_width(c.n, c.threads, 4096);
+    EXPECT_EQ(width, c.width) << "n " << c.n << " threads " << c.threads;
+    const auto blocks = [&](std::size_t w) { return (c.n + w - 1) / w; };
+    const auto threads = static_cast<std::size_t>(c.threads);
+    if (c.n >= threads && width < 4096) {
+      EXPECT_GE(blocks(width), threads);      // every thread gets a block
+      EXPECT_LT(blocks(2 * width), threads);  // and it is the widest such
+    }
+  }
+  // The table's own bound caps the width.
+  EXPECT_EQ(gain_tile_width(60, 1, 16), 16u);
+  EXPECT_EQ(gain_tile_width(60, 4, 8), 8u);
+
+  // bind applies the rule.
+  EuclideanMetric metric(test::random_points(60, 6.0, 600));
+  const PathLoss pl(1.0, 3.0, 1e-3);
+  GainTable gains(GainTable::Config{.threads = 3});
+  gains.bind(metric, pl);
+  EXPECT_EQ(gains.blocks(), 4u);
+  EXPECT_EQ(gains.block_cols(0), 16u);
+  EXPECT_EQ(gains.block_cols(3), 12u);
+}
+
 TEST(GainTable, EntriesMatchUncachedExpressionDiagonalIsPlusZero) {
   EuclideanMetric metric(test::random_points(20, 4.0, 601));
   const PathLoss pl(2.0, 3.0, 1e-3);
@@ -388,7 +431,8 @@ TEST(GainTable, SubRowBudgetPipelineStaysExact) {
                     test::default_config());
   const Channel& channel = scenario.channel();
   const Network& network = scenario.network();
-  SlotWorkspace ws({.gain_budget_bytes = 4 * 16 * 8, .gain_tile_cols = 16});
+  // 4 threads make 16-column tiles at n = 67: 5 blocks per row.
+  SlotWorkspace ws({.gain_budget_bytes = 4 * 16 * 8, .threads = 4});
   Rng rng(613);
   for (int trial = 0; trial < 4; ++trial) {
     const auto txs = test::sample_transmitters(network, rng, 0.2);

@@ -1,8 +1,9 @@
-// Property tests for the gain-table interference kernel: for every metric
+// Property tests for the gain-table interference kernels: for every metric
 // family, path-loss configuration, thread count and transmitter set, the
-// SoA kernel and the uncached brute-force kernel must produce bit-for-bit
-// identical fields (exact ==, never NEAR) — the contract docs/ENGINE.md
-// states and the determinism audit relies on. The shared column
+// SoA kernel, the planned field driver and the uncached brute-force kernel
+// must produce bit-for-bit identical fields (exact ==, never NEAR) — the
+// contract docs/ENGINE.md states and the determinism audit relies on. The
+// shared column
 // accumulator is checked on its own against a row-at-a-time sum over
 // ragged column windows.
 #include "phy/interference.h"
@@ -147,6 +148,39 @@ TEST(InterferenceSoa, MatchesBruteForceUnderLruPressure) {
     interference_field_soa(gains, txs, row_scratch, soa_field, nullptr);
     for (std::size_t v = 0; v < 67; ++v)
       EXPECT_EQ(reference[v], soa_field[v]) << "round " << round;
+  }
+}
+
+TEST(InterferenceSoa, PlannedDriverMatchesBruteForceAcrossBlocks) {
+  // The slot pipeline's field driver on 16-column tiles at n = 67: five
+  // blocks per row, the last ragged. Without a pool its body runs inline
+  // over every block (fill, then accumulate); with one, per block chunk.
+  // Repeated sets find their tiles resident, new ones fill them; every
+  // field must equal the uncached kernel bit for bit.
+  EuclideanMetric metric(test::random_points(67, 7.0, 504));
+  const PathLoss pl(1.0, 3.0, 1e-3);
+  TaskPool pool(3);
+  for (TaskPool* pool_arg : {static_cast<TaskPool*>(nullptr), &pool}) {
+    GainTable gains(GainTable::Config{.tile_cols = 16});
+    gains.bind(metric, pl);
+    ASSERT_EQ(gains.blocks(), 5u);
+    std::vector<double> reference;
+    std::vector<double> field;
+    std::vector<const double*> row_scratch;
+    for (std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                              std::size_t{33}, std::size_t{67}}) {
+      const auto txs = take_transmitters(67, count, 5150 + count);
+      interference_field_into(metric, pl, txs, reference, nullptr);
+      for (int pass = 0; pass < 2; ++pass) {
+        ASSERT_TRUE(gains.plan_rows(txs));
+        interference_field_planned(gains, txs, row_scratch, field, pool_arg);
+        ASSERT_EQ(reference.size(), field.size());
+        for (std::size_t v = 0; v < 67; ++v)
+          EXPECT_EQ(reference[v], field[v])
+              << "txs=" << count << " pass " << pass << " pool "
+              << (pool_arg != nullptr) << " node " << v;
+      }
+    }
   }
 }
 

@@ -496,14 +496,10 @@ TEST(EngineObs, EventStreamIsIdenticalAcrossThreadsAndKernels) {
   EXPECT_TRUE(check.passed()) << to_string(check);
   EXPECT_EQ(check.slots_checked(), static_cast<std::uint64_t>(2 * kRounds));
 
+  // The sharded field: 4 threads at kNodes = 56 make 16-column tiles,
+  // 4 blocks >= 4 threads.
   EXPECT_EQ(reference,
             run_observed(EngineConfig{.seed = 3, .threads = 4})
-                ->snapshot().events);
-  // The sharded field (16-column tiles: 4 blocks >= 4 threads at
-  // kNodes = 56).
-  EXPECT_EQ(reference,
-            run_observed(
-                EngineConfig{.seed = 3, .threads = 4, .gain_tile_cols = 16})
                 ->snapshot().events);
 }
 
@@ -519,13 +515,13 @@ TEST(EngineObs, WorkerShardSpansAreOptInAndTagged) {
     });
     const CarrierSensing sensing = scenario.sensing_local();
     Obs obs(ObsConfig{.worker_spans = enabled});
-    // 16-column tiles at n = 56: 4 blocks >= 3 threads, so the sharded
-    // field path (the only shard-span emitter) runs every slot.
+    // 3 threads at n = 56 make 16-column tiles, 4 blocks >= 3 threads, so
+    // the gain-table field driver (the only shard-span emitter) shards
+    // every slot.
     Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
                   EngineConfig{.slots_per_round = 2,
                                .seed = 9,
                                .threads = 3,
-                               .gain_tile_cols = 16,
                                .obs = &obs});
     for (int r = 0; r < 5; ++r) engine.step();
     std::vector<TraceEvent> spans;

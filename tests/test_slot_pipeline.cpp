@@ -28,27 +28,23 @@ struct PipelineVariant {
 std::vector<PipelineVariant> all_variants() {
   return {
       {"cache+grid", {}},
-      {"cache+grid+threads3",
-       // One 4096-column block < 3 threads: the unsharded pool kernel.
+      {"threads3",
+       // The tile width follows n and threads: 16 columns at n = 60, so
+       // 4 blocks >= 3 threads and the fused plan/fill driver
+       // (interference_field_planned) runs every slot on the pool.
        {.threads = 3}},
-      {"tiled+threads3",
-       // 16-column tiles at n = 60: 4 blocks >= 3 threads, so the fused
-       // plan/fill shard path (Channel::sharded_field) runs every slot.
-       {.gain_tile_cols = 16, .threads = 3}},
       {"no-gain-table",
        // Budget 0 disables gain caching entirely while keeping the
        // neighbor cache and grid on (uncached interference kernel).
        {.gain_budget_bytes = 0}},
-      {"tiled-gain-table",
-       // 16-column tiles force multi-block rows at n = 60.
-       {.gain_tile_cols = 16}},
       {"tiled-lru-pressure",
-       // 60 resident tiles vs 240 logical: ensure_rows succeeds only by
-       // evicting, so every slot exercises the LRU path.
-       {.gain_budget_bytes = 7680, .gain_tile_cols = 16}},
+       // 4 threads at n = 60 also make 16-column tiles: 60 resident tiles
+       // vs 240 logical, so plan_rows succeeds only by evicting and every
+       // slot exercises the LRU path.
+       {.gain_budget_bytes = 7680, .threads = 4}},
       {"gain-table-fallback",
-       // Budget below one tile: ensure_rows always fails and the pipeline
-       // falls back to the uncached kernel mid-flight.
+       // A one-row budget: plan_rows fails for two or more transmitters
+       // and the pipeline falls back to the uncached kernel mid-flight.
        {.gain_budget_bytes = 512}},
   };
 }
@@ -71,8 +67,8 @@ TEST_P(SlotPipelineModels, MatchesReferenceOnRandomEuclidean) {
             << variant.label;
       }
     }
-    if (std::string_view(variant.label) == "tiled+threads3") {
-      // The variant must really take the sharded path: blocks >= threads.
+    if (std::string_view(variant.label) == "threads3") {
+      // The derived width must give every thread a block.
       ASSERT_NE(ws.cache().gains(), nullptr);
       EXPECT_GE(ws.cache().gains()->blocks(),
                 static_cast<std::size_t>(ws.pool()->threads()));

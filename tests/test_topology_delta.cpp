@@ -426,9 +426,9 @@ TEST(DeltaInvalidation, CachedResolveMatchesBruteForceAcrossDeltaRounds) {
   Network& network = scenario.network();
   EuclideanMetric& metric = *scenario.euclidean();
   network.set_track_changes(true);
-  // Small tiles force multi-block gain rows so apply_delta's per-block
-  // column filtering is actually exercised at n = 60.
-  SlotWorkspace ws(SlotWorkspaceConfig{.gain_tile_cols = 16});
+  // 4 threads make 16-column tiles at n = 60: multi-block gain rows, so
+  // apply_delta's per-block column filtering is actually exercised.
+  SlotWorkspace ws(SlotWorkspaceConfig{.threads = 4});
   Rng rng(9);
   for (int round = 0; round < 40; ++round) {
     SCOPED_TRACE(round);

@@ -7,8 +7,9 @@
 //     mobility invalidate the caches every round, so the delta path is
 //     checked where it matters, not on a static topology.
 //  3. Pipeline matrix: the same scenario resolved through every slot
-//     pipeline configuration — serial, multi-threaded and sharded kernels,
-//     observability attached — yields the serial run's trace.
+//     pipeline configuration — serial, multi-threaded (the gain-table
+//     field sharded by listener block on the pool), observability
+//     attached — yields the serial run's trace.
 //
 // Builds the EXP-10 style workload (cluster chain, node churn + bounded
 // mobility, Bcast(beta) with two slots per round), runs it through
@@ -77,9 +78,6 @@ struct PipelineConfig {
   double far_field_eps = 0.0;
   /// Far-field cell side as a multiple of the model max range.
   double far_field_cell_factor = 2.0;
-  /// Gain tile width: small values force multi-block rows at audit sizes
-  /// so the sharded field path (threads > 1, blocks >= threads) engages.
-  std::size_t gain_tile_cols = 4096;
 };
 
 void run_dynamic_broadcast(const Options& options, bool perturb,
@@ -107,7 +105,6 @@ void run_dynamic_broadcast(const Options& options, bool perturb,
                              .far_field_eps = pipeline.far_field_eps,
                              .far_field_cell_factor =
                                  pipeline.far_field_cell_factor,
-                             .gain_tile_cols = pipeline.gain_tile_cols,
                              .obs = obs.get()});
 
   ChurnDynamics churn({.arrival_rate = 0.05,
@@ -150,13 +147,11 @@ int diverges(const TraceHashRecorder& reference,
 int run_pipeline_matrix(const Options& options,
                         const TraceHashRecorder& serial) {
   const PipelineConfig configs[] = {
-      // Default 4096-column tiles: one block < threads, so this row runs
-      // the unsharded pool kernel.
+      // The tile width follows n and threads (gain_tile_width): n = 48 at
+      // 4 threads is 8-column tiles, 6 blocks, so the fused plan/fill
+      // driver runs every slot on the pool.
       {"threads", options.threads},
       {"obs-on", options.threads, /*obs=*/true},
-      // 8-column tiles: blocks = ceil(n/8) >= threads at audit sizes, so
-      // the fused plan/fill shard path runs every slot.
-      {"sharded", options.threads, false, 0.0, 2.0, /*gain_tile_cols=*/8},
   };
   int failures = 0;
   std::cout << "  pipeline matrix (reference: serial)\n";
