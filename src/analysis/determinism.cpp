@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/contract.h"
+#include "obs/obs.h"
 #include "sim/network.h"
 
 namespace udwn {
@@ -78,53 +79,84 @@ std::string to_string(const ReferenceCheck& check) {
   return line;
 }
 
-void TraceHashRecorder::mix_u64(std::uint64_t x) { hash_ = fnv_step(hash_, x); }
-
-void TraceHashRecorder::mix_double(double x) {
-  // Bit-exact: -0.0 vs 0.0 and NaN payload differences count as divergence,
-  // which is precisely what "bit-for-bit deterministic" means.
-  mix_u64(std::bit_cast<std::uint64_t>(x));
-}
-
 void TraceHashRecorder::on_slot(Round round, Slot slot,
                                 const SlotOutcome& outcome,
                                 const Engine& engine) {
-  mix_u64(static_cast<std::uint64_t>(round));
-  mix_u64(static_cast<std::uint64_t>(slot));
+  // Everything but the interference doubles goes into both hashes.
+  // Doubles are mixed by their bits: -0.0 vs 0.0 and NaN payload
+  // differences count as divergence, which is precisely what "bit-for-bit
+  // deterministic" means.
+  const auto mix = [this](std::uint64_t x) {
+    hash_ = fnv_step(hash_, x);
+    decision_ = fnv_step(decision_, x);
+  };
+  mix(static_cast<std::uint64_t>(round));
+  mix(static_cast<std::uint64_t>(slot));
 
-  mix_u64(outcome.transmitters.size());
-  for (NodeId u : outcome.transmitters) mix_u64(u.value);
-  for (double i : outcome.interference) mix_double(i);
-  for (NodeId s : outcome.decoded_from) mix_u64(s.value);
-  for (std::uint8_t m : outcome.mass_delivered) mix_u64(m);
-  for (std::uint8_t c : outcome.clear) mix_u64(c);
+  mix(outcome.transmitters.size());
+  for (NodeId u : outcome.transmitters) mix(u.value);
+  for (double i : outcome.interference)
+    hash_ = fnv_step(hash_, std::bit_cast<std::uint64_t>(i));
+  for (NodeId s : outcome.decoded_from) mix(s.value);
+  for (std::uint8_t m : outcome.mass_delivered) mix(m);
+  for (std::uint8_t c : outcome.clear) mix(c);
 
   const std::size_t n = engine.network().size();
   for (std::size_t v = 0; v < n; ++v) {
     const NodeId id(static_cast<std::uint32_t>(v));
-    mix_u64(engine.network().alive(id) ? 1 : 0);
-    mix_u64(engine.clock_fired(id) ? 1 : 0);
-    mix_double(engine.last_probability(id));
+    mix(engine.network().alive(id) ? 1 : 0);
+    mix(engine.clock_fired(id) ? 1 : 0);
+    mix(std::bit_cast<std::uint64_t>(engine.last_probability(id)));
   }
+
+  // The field as the protocols see it, by the engine's own predicates
+  // (Engine::feedback_sweep): CD and NTD per alive listener, ACK per
+  // transmitter.
+  const CarrierSensing& sensing = engine.sensing();
+  const QuasiMetric& metric = engine.channel().metric();
+  for (std::size_t v = 0; v < n; ++v) {
+    const NodeId id(static_cast<std::uint32_t>(v));
+    if (!engine.network().alive(id)) continue;
+    const NodeId sender = outcome.decoded_from[v];
+    const bool busy = sensing.busy(outcome.interference[v]);
+    const bool ntd =
+        sender.valid() && sensing.ntd(metric.distance(sender, id));
+    decision_ = fnv_step(decision_, (busy ? 1u : 0u) | (ntd ? 2u : 0u));
+  }
+  for (NodeId u : outcome.transmitters)
+    decision_ =
+        fnv_step(decision_, sensing.ack(outcome.interference[u.value]) ? 1 : 0);
 }
 
-void TraceHashRecorder::on_round_end(Round round, const Engine& /*engine*/) {
+void TraceHashRecorder::on_round_end(Round round, const Engine& engine) {
   UDWN_EXPECT(round >= 1);
   round_hashes_.push_back(hash_);
+  // A traced engine carries both hashes in its event stream, so trace
+  // inspectors (tools/udwn_trace) can show them round by round.
+  if (Obs* obs = engine.obs(); obs != nullptr)
+    obs->emit(TraceEvent{
+        .round = static_cast<std::uint32_t>(round - 1),  // engine's index
+        .kind = static_cast<std::uint16_t>(EventKind::kRoundHash),
+        .node = static_cast<std::uint32_t>(hash_ >> 32),
+        .aux = static_cast<std::uint32_t>(hash_),
+        .value = decision_});
 }
 
 std::string to_string(const DeterminismReport& report) {
   if (report.deterministic) {
     return "deterministic: " + std::to_string(report.rounds_a) +
            " rounds, trace hash " + std::to_string(report.final_hash_a) +
-           " on both runs";
+           " on both runs, decision hash " +
+           std::to_string(report.decision_hash_a);
   }
   return "NONDETERMINISTIC: first divergent round " +
          std::to_string(report.first_divergence) + " (run A: " +
          std::to_string(report.rounds_a) + " rounds, hash " +
-         std::to_string(report.final_hash_a) + "; run B: " +
+         std::to_string(report.final_hash_a) + ", decision hash " +
+         std::to_string(report.decision_hash_a) + "; run B: " +
          std::to_string(report.rounds_b) + " rounds, hash " +
-         std::to_string(report.final_hash_b) + ")";
+         std::to_string(report.final_hash_b) + ", decision hash " +
+         std::to_string(report.decision_hash_b) + ")";
 }
 
 DeterminismReport DeterminismAuditor::audit(const ScenarioRun& run) {
@@ -145,6 +177,8 @@ DeterminismReport DeterminismAuditor::compare(const TraceHashRecorder& a,
   report.rounds_b = hb.size();
   report.final_hash_a = a.final_hash();
   report.final_hash_b = b.final_hash();
+  report.decision_hash_a = a.decision_hash();
+  report.decision_hash_b = b.decision_hash();
 
   const std::size_t common = ha.size() < hb.size() ? ha.size() : hb.size();
   for (std::size_t i = 0; i < common; ++i) {

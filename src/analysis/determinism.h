@@ -30,6 +30,14 @@ namespace udwn {
 /// (bit-exact), decode decisions, mass-delivery and clear flags — plus the
 /// per-node transmit probabilities and clock firings into a running FNV-1a
 /// hash, chained and sampled at every round boundary.
+///
+/// Beside it runs a *decision hash* of the same stream without the
+/// interference doubles. In their place it folds what the protocols read of
+/// the field (Engine::feedback_sweep): each alive listener's CD bit, each
+/// transmitter's ACK bit and each receiver's NTD bit, judged by the
+/// engine's CarrierSensing. Two runs whose decision hashes agree made the
+/// same protocol decisions and drew the same random numbers, even where
+/// their interference doubles differ in the last bits.
 class TraceHashRecorder final : public Recorder {
  public:
   void on_slot(Round round, Slot slot, const SlotOutcome& outcome,
@@ -44,12 +52,13 @@ class TraceHashRecorder final : public Recorder {
   }
   /// Hash of the whole trace so far.
   [[nodiscard]] std::uint64_t final_hash() const { return hash_; }
+  /// Decision hash of the whole trace so far (see the class comment).
+  [[nodiscard]] std::uint64_t decision_hash() const { return decision_; }
 
  private:
-  void mix_u64(std::uint64_t x);
-  void mix_double(double x);
-
-  std::uint64_t hash_ = 14695981039346656037ull;  // FNV-1a offset basis
+  static constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+  std::uint64_t hash_ = kFnvOffset;
+  std::uint64_t decision_ = kFnvOffset;
   std::vector<std::uint64_t> round_hashes_;
 };
 
@@ -118,6 +127,8 @@ struct DeterminismReport {
   Round first_divergence = -1;
   std::uint64_t final_hash_a = 0;
   std::uint64_t final_hash_b = 0;
+  std::uint64_t decision_hash_a = 0;
+  std::uint64_t decision_hash_b = 0;
   std::size_t rounds_a = 0;
   std::size_t rounds_b = 0;
 };

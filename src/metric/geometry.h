@@ -21,7 +21,9 @@ struct Vec2 {
   friend constexpr Vec2 operator*(double s, Vec2 a) { return a * s; }
   friend constexpr bool operator==(Vec2, Vec2) = default;
 
-  [[nodiscard]] double norm() const { return std::hypot(x, y); }
+  /// sqrt(x·x + y·y): correctly rounded operations only, so the same bits
+  /// on every IEEE host (no libm hypot; the build forbids FMA contraction).
+  [[nodiscard]] double norm() const { return std::sqrt(norm2()); }
   [[nodiscard]] constexpr double norm2() const { return x * x + y * y; }
 };
 

@@ -38,7 +38,7 @@ std::optional<std::uint16_t> event_kind_from_name(std::string_view name) {
   for (const EventKind kind :
        {EventKind::kSlotEnd, EventKind::kDelivery, EventKind::kMassDelivery,
         EventKind::kStateTransition, EventKind::kRoundEnd,
-        EventKind::kShardSpan}) {
+        EventKind::kShardSpan, EventKind::kRoundHash}) {
     const auto value = static_cast<std::uint16_t>(kind);
     if (name == event_kind_name(value)) return value;
   }
@@ -68,6 +68,8 @@ std::string event_kind_name(std::uint16_t kind) {
       return "round_end";
     case EventKind::kShardSpan:
       return "shard_span";
+    case EventKind::kRoundHash:
+      return "round_hash";
   }
   return "kind_" + std::to_string(kind);
 }

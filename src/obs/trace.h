@@ -58,6 +58,11 @@ enum class EventKind : std::uint16_t {
   /// scheduling-dependent (see the determinism contract above), which is
   /// why the knob is opt-in and the span is a diagnostic, never an input.
   kShardSpan = 6,
+  /// A global round's trace hashes, emitted after its kRoundEnd by a
+  /// TraceHashRecorder (analysis/determinism.h) on a traced engine:
+  /// value = decision hash, node = high and aux = low 32 bits of the full
+  /// trace hash, both as they stand after the round.
+  kRoundHash = 7,
 };
 
 /// One fixed-size trace record. Packed to 24 bytes; written to disk as-is

@@ -23,10 +23,6 @@ constexpr double kMinCells = 64.0;
 // 1 and 4, and 16 gained nothing more).
 constexpr std::size_t kSweepChunksPerThread = 8;
 
-// Near-sweep terms evaluated per batched PathLoss::signals call (stack
-// scratch of one sweep chunk).
-constexpr std::ptrdiff_t kTermRun = 256;
-
 // out[j] += w · k[j] for j < m: one rounded multiply and one rounded add
 // per entry, the same expression a scalar loop evaluates. The unrolled
 // eight-statement body is what GCC's SLP vectorizer packs into mulpd/addpd
@@ -307,11 +303,12 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
   // slot) order — and each of its listeners adds them, self excluded (a
   // transmitter's own cell is always near, d_cc = 0), to the aggregated far
   // signal. Work chunks are cell ranges holding about n / chunks listeners
-  // each; chunk k gathers into its own slice of gather_. The terms are
-  // PathLoss::signals of hypot(u − v), bit for bit
-  // PathLoss::signal(EuclideanMetric::distance(u, v)); the local copy keeps
-  // P, ζ and the near limit in registers. The strongest term and its
-  // sender feed the fused decode.
+  // each; chunk k gathers into its own slice of gather_. Each term is
+  // computed inline, in transmitter order, as PathLoss::gain of sqrt(dx·dx +
+  // dy·dy), bit for bit PathLoss::signal(EuclideanMetric::distance(u, v));
+  // the local copy keeps P, ζ and the near limit in registers, and the
+  // ζ = 3 decision is taken once per sweep chunk. The strongest term and
+  // its sender feed the fused decode.
   field.resize(n);  // udwn-lint: allow(hot-path-alloc): per-slot output,
                     // reuses capacity at steady state
   const std::size_t chunks =
@@ -350,8 +347,7 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
   const auto gy = static_cast<std::int32_t>(ncy);
   const double beta = decode != nullptr ? decode->beta : 0.0;
   const double noise = decode != nullptr ? decode->noise : 0.0;
-  auto sweep_body = [&](std::size_t k_lo, std::size_t k_hi) {
-    double terms[kTermRun];
+  auto sweep = [&](std::size_t k_lo, std::size_t k_hi, auto cube) {
     for (std::size_t k = k_lo; k < k_hi; ++k) {
       NearTx* const near = gather_.data() + k * stride;
       for (std::size_t c = chunk_start(k), c_end = chunk_start(k + 1);
@@ -392,26 +388,18 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
           double acc = far;
           double best = -1;
           std::uint32_t best_id = 0;
-          // Terms in runs of kTermRun: distances, one batched signals call,
-          // then the sum in transmitter order. The self term is computed
-          // with the rest and skipped in the sum.
-          for (const NearTx* run = near; run != near_end;) {
-            const auto len = static_cast<std::size_t>(
-                std::min<std::ptrdiff_t>(near_end - run, kTermRun));
-            for (std::size_t t = 0; t < len; ++t)
-              terms[t] = std::hypot(run[t].x - listener.x,
-                                    run[t].y - listener.y);
-            pl.signals({terms, len});
-            for (std::size_t t = 0; t < len; ++t) {
-              if (run[t].id == v) continue;
-              const double s = terms[t];
-              acc += s;
-              if (s > best) {
-                best = s;
-                best_id = run[t].id;
-              }
+          // The self term is skipped (a transmitter hears only others).
+          for (const NearTx* t = near; t != near_end; ++t) {
+            if (t->id == v) continue;
+            const double dx = t->x - listener.x;
+            const double dy = t->y - listener.y;
+            const double s =
+                pl.gain<decltype(cube)::value>(std::sqrt(dx * dx + dy * dy));
+            acc += s;
+            if (s > best) {
+              best = s;
+              best_id = t->id;
             }
-            run += len;
           }
           field[v] = acc;
           if (decode != nullptr && decode->alive[v] &&
@@ -422,6 +410,9 @@ bool FarFieldWorkspace::field_into(const EuclideanMetric& metric,
         }
       }
     }
+  };
+  auto sweep_body = [&](std::size_t k_lo, std::size_t k_hi) {
+    pl.with_exponent([&](auto cube) { sweep(k_lo, k_hi, cube); });
   };
   if (pool != nullptr) {
     pool->run_chunks(0, chunks, sweep_body, 1);

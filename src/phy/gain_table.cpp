@@ -188,23 +188,18 @@ void GainTable::fill_tile(const PendingFill& fill) {
   const std::uint64_t* moved_at = col_version_.data() + begin;
   if (euclid_ != nullptr) {
     // Positions read directly, without two indirect calls per cell:
-    // signal(hypot(u − v)) is bit for bit signal(EuclideanMetric::distance(
-    // u, v)). A full fill writes the tile's distances first and converts
-    // them in one batched PathLoss::signals call; a patch evaluates the
-    // inline PathLoss::signal(u, v) per moved column, its local copy
-    // keeping P, ζ and the near limit in registers.
+    // signal(u, v) is bit for bit signal(EuclideanMetric::distance(u, v)).
+    // The local copy keeps P, ζ and the near limit in registers, and the
+    // ζ = 3 decision is taken once per tile, not once per cell.
     const PathLoss pl = *pathloss_;
     const std::span<const Vec2> pts = euclid_->positions();
     const Vec2 pu = pts[u];
     const Vec2* pos = pts.data() + begin;
-    if (fill.stamp == 0) {
-      for (std::size_t j = 0; j < count; ++j)
-        dst[j] = std::hypot(pu.x - pos[j].x, pu.y - pos[j].y);
-      pl.signals({dst, count});
-    } else {
-      write_cells(dst, count, moved_at, fill.stamp,
-                  [&](std::size_t j) { return pl.signal(pu, pos[j]); });
-    }
+    pl.with_exponent([&](auto cube) {
+      write_cells(dst, count, moved_at, fill.stamp, [&](std::size_t j) {
+        return pl.gain<decltype(cube)::value>((pu - pos[j]).norm());
+      });
+    });
   } else {
     const NodeId id(static_cast<std::uint32_t>(u));
     write_cells(dst, count, moved_at, fill.stamp, [&](std::size_t j) {

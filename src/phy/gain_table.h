@@ -45,25 +45,22 @@
 // and column v not moved since f means d(u,v), hence the cached gain, is
 // unchanged; every recomputed cell uses the same expression as a full fill.
 //
-// On a EuclideanMetric a fill reads positions directly: a full fill writes
-// the tile's hypot distances and converts them in one batched
-// PathLoss::signals call, a patch evaluates the inline PathLoss::signal(u,
-// v) per moved column; both are bit for bit signal(distance(u, v)). Other
-// metrics go through the virtual distance.
+// On a EuclideanMetric a fill reads positions directly: a full fill is one
+// inlined loop of PathLoss::gain over the tile's (u − v).norm() distances,
+// a patch runs the same expression per moved column; both are bit for bit
+// signal(distance(u, v)), with the ζ = 3 decision taken once per tile.
+// Other metrics go through the virtual distance.
 //
 // Bit-exactness contract (what makes the cached pipeline identical to the
 // brute-force reference): every entry is the double the uncached kernels
-// evaluate — same doubles in, P / pow(max(d, near), ζ) out — except the
-// self entry gains[u][u], which is stored as +0.0. At ζ = 3 the stored
-// double equals libm pow's by certificate (PathLoss, pathloss.h: the exact
-// cube lies more than the 0.54-ulp error bound of glibc >= 2.28's and
-// musl's pow from every other double), and libm runs only for the cells
-// the certificate rejects. Kernels may therefore add a whole row without
-// skipping the diagonal: all partial interference sums are >= +0.0, and
-// x + 0.0 == x bit-for-bit for every non-negative double, so including
-// the zeroed diagonal is indistinguishable from the reference's `skip self`
-// loop. (Readers that need the true self gain — no current caller does —
-// must not use this table.)
+// evaluate — same doubles in, PathLoss::signal out (at ζ = 3 the plain
+// IEEE P / ((d·d)·d), no libm; see pathloss.h) — except the self entry
+// gains[u][u], which is stored as +0.0. Kernels may therefore add a whole
+// row without skipping the diagonal: all partial interference sums are
+// >= +0.0, and x + 0.0 == x bit-for-bit for every non-negative double, so
+// including the zeroed diagonal is indistinguishable from the reference's
+// `skip self` loop. (Readers that need the true self gain — no current
+// caller does — must not use this table.)
 //
 // Determinism: eviction order depends only on the sequence of plan_rows
 // and demote calls (source order within a call is the caller's transmitter

@@ -110,6 +110,8 @@ class Engine {
   [[nodiscard]] const Network& network() const { return *network_; }
   [[nodiscard]] const Channel& channel() const { return *channel_; }
   [[nodiscard]] const CarrierSensing& sensing() const { return *sensing_; }
+  /// The observability handle of EngineConfig::obs, or null.
+  [[nodiscard]] Obs* obs() const { return config_.obs; }
 
   [[nodiscard]] Protocol& protocol(NodeId v) const;
 

@@ -3,16 +3,21 @@
 // trace-length mismatches count as divergence. ReferenceCheck tests: a clean
 // engine run checks every slot against Channel::resolve() and finds
 // nothing, and a tampered outcome is reported with its slot and field.
+// Decision hash: a flipped field bit away from every threshold keeps it, a
+// flipped CD bit moves it.
 #include "analysis/determinism.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <memory>
 
 #include "analysis/runner.h"
 #include "analysis/scenario.h"
 #include "core/broadcast.h"
+#include "obs/obs.h"
 #include "sim/dynamics.h"
 #include "tests/helpers.h"
 
@@ -26,6 +31,7 @@ struct RunOptions {
   /// -1 = clean run.
   Round perturb_at = -1;
   double notify_power_scale = 1.0;
+  Obs* obs = nullptr;
 };
 
 void run_dynamic_bcast(const RunOptions& options, Recorder& recorder) {
@@ -42,7 +48,8 @@ void run_dynamic_bcast(const RunOptions& options, Recorder& recorder) {
   Engine engine(scenario.channel(), scenario.network(), sensing, protocols,
                 EngineConfig{.slots_per_round = 2,
                              .notify_power_scale = options.notify_power_scale,
-                             .seed = options.seed});
+                             .seed = options.seed,
+                             .obs = options.obs});
   ChurnDynamics churn({.arrival_rate = 0.1,
                        .departure_rate = 0.1,
                        .pinned = {source}});
@@ -69,6 +76,76 @@ TEST(TraceHashRecorder, OneHashPerRoundAndChained) {
     EXPECT_NE(hashes[i], hashes[i - 1]);
 }
 
+// On the first slot with transmitters and a silent alive listener v whose
+// interference lies far from the CD threshold, hashes the outcome as it is
+// and twice tampered: v's interference with its last bit flipped (no
+// decision moves), and v's interference moved across the CD threshold
+// (v's CD bit flips).
+class DecisionProbe final : public Recorder {
+ public:
+  void on_slot(Round round, Slot slot, const SlotOutcome& outcome,
+               const Engine& engine) override {
+    if (probed || outcome.transmitters.empty()) return;
+    const SensingConfig& cfg = engine.sensing().config();
+    for (std::size_t v = 0; v < outcome.interference.size(); ++v) {
+      const NodeId id(static_cast<std::uint32_t>(v));
+      const double i = outcome.interference[v];
+      const bool silent =
+          std::find(outcome.transmitters.begin(), outcome.transmitters.end(),
+                    id) == outcome.transmitters.end();
+      if (!engine.network().alive(id) || !silent || !(i > 0) ||
+          std::abs(i - cfg.cd_threshold) < 0.5 * cfg.cd_threshold)
+        continue;
+      probed = true;
+      as_is.on_slot(round, slot, outcome, engine);
+      SlotOutcome tampered = outcome;
+      tampered.interference[v] =
+          std::bit_cast<double>(std::bit_cast<std::uint64_t>(i) ^ 1u);
+      last_bit.on_slot(round, slot, tampered, engine);
+      tampered.interference[v] =
+          i < cfg.cd_threshold ? 2 * cfg.cd_threshold : 0.5 * cfg.cd_threshold;
+      cd_bit.on_slot(round, slot, tampered, engine);
+      return;
+    }
+  }
+
+  bool probed = false;
+  TraceHashRecorder as_is;
+  TraceHashRecorder last_bit;
+  TraceHashRecorder cd_bit;
+};
+
+TEST(TraceHashRecorder, DecisionHashIgnoresFieldBitsButNotDecisions) {
+  DecisionProbe probe;
+  run_dynamic_bcast({}, probe);
+  ASSERT_TRUE(probe.probed);
+  // One interference bit, away from every threshold: same decisions.
+  EXPECT_NE(probe.last_bit.final_hash(), probe.as_is.final_hash());
+  EXPECT_EQ(probe.last_bit.decision_hash(), probe.as_is.decision_hash());
+  // One CD bit: a decision, so both hashes move.
+  EXPECT_NE(probe.cd_bit.final_hash(), probe.as_is.final_hash());
+  EXPECT_NE(probe.cd_bit.decision_hash(), probe.as_is.decision_hash());
+}
+
+TEST(TraceHashRecorder, TracedEngineCarriesBothHashesPerRound) {
+  // One kRoundHash event per round, after the round's kRoundEnd: the full
+  // hash split over node/aux, the decision hash in value.
+  Obs obs;
+  TraceHashRecorder recorder;
+  run_dynamic_bcast({.rounds = 10, .obs = &obs}, recorder);
+  std::vector<TraceEvent> hashes;
+  for (const TraceEvent& ev : obs.snapshot().events)
+    if (ev.kind == static_cast<std::uint16_t>(EventKind::kRoundHash))
+      hashes.push_back(ev);
+  ASSERT_EQ(hashes.size(), 10u);
+  for (std::uint32_t r = 0; r < 10; ++r) {
+    EXPECT_EQ(hashes[r].round, r);
+    EXPECT_EQ((std::uint64_t{hashes[r].node} << 32) | hashes[r].aux,
+              recorder.round_hashes()[r]);
+  }
+  EXPECT_EQ(hashes.back().value, recorder.decision_hash());
+}
+
 TEST(DeterminismAuditor, SameSeedRunsAreBitIdentical) {
   const DeterminismReport report = DeterminismAuditor::audit(
       [](TraceHashRecorder& recorder) { run_dynamic_bcast({}, recorder); });
@@ -77,6 +154,9 @@ TEST(DeterminismAuditor, SameSeedRunsAreBitIdentical) {
   EXPECT_EQ(report.rounds_a, 40u);
   EXPECT_EQ(report.rounds_b, 40u);
   EXPECT_EQ(report.final_hash_a, report.final_hash_b);
+  EXPECT_EQ(report.decision_hash_a, report.decision_hash_b);
+  EXPECT_NE(to_string(report).find(std::to_string(report.decision_hash_a)),
+            std::string::npos);
 }
 
 TEST(DeterminismAuditor, DifferentSeedsDiverge) {

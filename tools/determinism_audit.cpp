@@ -22,8 +22,14 @@
 // extra RNG draw on one node) to demonstrate the auditor catches real
 // nondeterminism; that mode exits 0 only when the fault is detected.
 //
+// Every row prints the run's trace hash and its decision hash (the same
+// stream without the interference doubles, with each listener's CD, ACK
+// and NTD bits instead; see TraceHashRecorder). `--trace PATH` writes the
+// obs-on row's event trace, whose per-round decision hashes tools/udwn_trace
+// shows on its timeline.
+//
 //   determinism_audit [--seed N] [--rounds N] [--clusters N] [--threads N]
-//                     [--no-matrix] [--inject]
+//                     [--no-matrix] [--inject] [--trace PATH]
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
@@ -63,6 +69,7 @@ struct Options {
   int threads = 4;
   bool matrix = true;
   bool inject = false;
+  std::string trace_path;  // obs-on row's event trace; empty = none
 };
 
 /// Slot-pipeline knobs under audit (subset of EngineConfig).
@@ -129,6 +136,10 @@ void run_dynamic_broadcast(const Options& options, bool perturb,
     }
     engine.step();
   }
+  if (obs != nullptr && !options.trace_path.empty() &&
+      !obs->write(options.trace_path))
+    std::cerr << "determinism_audit: cannot write " << options.trace_path
+              << "\n";
 }
 
 /// Compare `trace` with `reference` and print one row; 1 if they diverge.
@@ -472,7 +483,8 @@ namespace {
 [[noreturn]] void usage_error(const char* detail) {
   std::cerr << "determinism_audit: " << detail << "\n"
             << "usage: determinism_audit [--seed N] [--rounds N] "
-               "[--clusters N] [--threads N] [--no-matrix] [--inject]\n";
+               "[--clusters N] [--threads N] [--no-matrix] [--inject] "
+               "[--trace PATH]\n";
   std::exit(2);
 }
 
@@ -508,6 +520,8 @@ int main(int argc, char** argv) {
       options.matrix = false;
     } else if (arg == "--inject") {
       options.inject = true;
+    } else if (arg == "--trace" && has_value) {
+      options.trace_path = argv[++i];
     } else {
       usage_error("unrecognized or incomplete argument");
     }

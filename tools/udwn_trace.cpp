@@ -2,9 +2,10 @@
 // docs/OBSERVABILITY.md).
 //
 // Default report: trace summary, a per-round timeline (transmissions,
-// deliveries, collisions, mass-deliveries; bucketed when the run is long),
-// the top-k hottest counters, histograms, and a contention heatmap (round
-// buckets x transmitter-count buckets).
+// deliveries, collisions, mass-deliveries; bucketed when the run is long;
+// with the decision hash after each row's last round when the trace
+// carries kRoundHash events), the top-k hottest counters, histograms, and
+// a contention heatmap (round buckets x transmitter-count buckets).
 //
 //   udwn_trace <trace> [--top K] [--rows N]
 //              [--export-jsonl PATH] [--export-chrome PATH]
@@ -40,6 +41,9 @@ struct RoundAgg {
   std::uint64_t transitions = 0;
   std::uint32_t max_contention = 0;
   bool seen = false;
+  // kRoundHash of the round, when a TraceHashRecorder rode the run.
+  bool hashed = false;
+  std::uint64_t decision_hash = 0;
 };
 
 struct Options {
@@ -108,6 +112,10 @@ std::vector<RoundAgg> aggregate_rounds(const Trace& trace,
       case EventKind::kStateTransition:
         ++agg.transitions;
         break;
+      case EventKind::kRoundHash:
+        agg.hashed = true;
+        agg.decision_hash = ev.value;
+        break;
       default:
         break;  // deliveries/mass are already aggregated via kSlotEnd
     }
@@ -124,10 +132,15 @@ void print_timeline(const std::vector<RoundAgg>& rounds,
   // Bucket rounds so long runs stay readable: each row covers `stride`
   // consecutive rounds and sums their aggregates.
   const std::size_t stride = (rounds.size() + max_rows - 1) / max_rows;
+  // The decision hash column shows the hash after each row's last round.
+  const bool hashed = std::any_of(rounds.begin(), rounds.end(),
+                                  [](const RoundAgg& r) { return r.hashed; });
   std::printf("\nper-round timeline (%zu rounds, %zu per row):\n",
               rounds.size(), stride);
-  std::printf("  %-14s %12s %12s %12s %8s %11s\n", "round", "tx",
+  std::printf("  %-14s %12s %12s %12s %8s %11s", "round", "tx",
               "deliveries", "collisions", "mass", "transitions");
+  if (hashed) std::printf("  %20s", "decision hash");
+  std::printf("\n");
   for (std::size_t lo = 0; lo < rounds.size(); lo += stride) {
     const std::size_t hi = std::min(rounds.size(), lo + stride);
     RoundAgg sum;
@@ -143,12 +156,16 @@ void print_timeline(const std::vector<RoundAgg>& rounds,
       std::snprintf(label, sizeof(label), "%zu", lo);
     else
       std::snprintf(label, sizeof(label), "%zu-%zu", lo, hi - 1);
-    std::printf("  %-14s %12llu %12llu %12llu %8llu %11llu\n", label,
+    std::printf("  %-14s %12llu %12llu %12llu %8llu %11llu", label,
                 static_cast<unsigned long long>(sum.transmissions),
                 static_cast<unsigned long long>(sum.deliveries),
                 static_cast<unsigned long long>(sum.collisions),
                 static_cast<unsigned long long>(sum.mass),
                 static_cast<unsigned long long>(sum.transitions));
+    if (rounds[hi - 1].hashed)
+      std::printf("  %20llu", static_cast<unsigned long long>(
+                                  rounds[hi - 1].decision_hash));
+    std::printf("\n");
   }
 }
 
