@@ -2,11 +2,10 @@
 //
 // Simulation results must be pure functions of the seed; wall-clock time is
 // observability-only (pool idle time, benchmark harnesses). To keep timing
-// from leaking into simulation decisions, the static checkers flag raw
-// std::chrono (tools/udwn_lint.py, rule `chrono`) and obs_now_ns calls
-// (tools/udwn_analyze.py, rule `det-wall-clock`) outside src/obs/ and
-// bench/ — instrumentation elsewhere must go through this header, which
-// makes every timing call grep-able.
+// from leaking into simulation decisions, the static checker flags raw
+// std::chrono and obs_now_ns calls (tools/udwn_analyze.py, rule
+// `det-wall-clock`) outside src/obs/ and bench/ — instrumentation elsewhere
+// must go through this header, which makes every timing call grep-able.
 //
 // Layers below obs never include this header: src/common's TaskPool takes
 // the clock as an injected function pointer (TaskPool::NowNsFn), which the

@@ -86,9 +86,9 @@
 // as walking the stencil per listener, so the same bits, but the stencil
 // lookups are paid once per cell rather than once per listener. Each term
 // evaluates the same expressions as EuclideanMetric::distance and
-// PathLoss::signal: a listener's distances go through batched
-// PathLoss::signals calls, then are summed in transmitter order. With a
-// pool the listener cells are cut into eight work chunks per thread, of
+// PathLoss::signal: it is computed inline, as PathLoss::gain of
+// sqrt(dx·dx + dy·dy), and the terms are summed in transmitter order. With
+// a pool the listener cells are cut into eight work chunks per thread, of
 // about equal listener counts, which the pool's threads claim as they
 // finish the previous one, so no core waits long on a slower one at the
 // join.

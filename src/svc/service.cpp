@@ -41,8 +41,14 @@ struct ScenarioService::Worker {
   MetricsRegistry::Snapshot folded;
 };
 
+// The service's two clock reads stamp the uptime of `status` responses
+// (docs/SERVICE.md); each carries its own det-wall-clock allow, so trial
+// code (svc/exec.cpp) stays inside the fence. The allows need one line each,
+// past the column limit, hence the clang-format guards.
+// clang-format off
 ScenarioService::ScenarioService(ServiceConfig config)
-    : config_(config), start_ns_(obs_now_ns()) {
+    : config_(config), start_ns_(obs_now_ns()) {  // udwn-lint: allow(det-wall-clock): status uptime telemetry
+  // clang-format on
   const int workers = std::max(1, config_.workers);
   workers_.reserve(static_cast<std::size_t>(workers));
   threads_.reserve(static_cast<std::size_t>(workers));
@@ -273,14 +279,16 @@ std::string ScenarioService::status_line(std::string_view id) const {
   std::sort(counters.begin(), counters.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
+  // clang-format off
   std::string out = "{\"id\":\"" + Json::escape(id) +
                     "\",\"event\":\"status\",\"uptime_ns\":" +
-                    std::to_string(obs_now_ns() - start_ns_) +
+                    std::to_string(obs_now_ns() - start_ns_) +  // udwn-lint: allow(det-wall-clock): status uptime telemetry
                     ",\"queue_depth\":" + std::to_string(depth) +
                     ",\"in_flight\":" + std::to_string(in_flight) +
                     ",\"shutting_down\":" + (draining ? "true" : "false") +
                     ",\"workers\":" +
                     std::to_string(workers_.size()) + ",\"counters\":{";
+  // clang-format on
   for (std::size_t i = 0; i < counters.size(); ++i) {
     if (i != 0) out += ',';
     out += '"' + Json::escape(counters[i].first) +

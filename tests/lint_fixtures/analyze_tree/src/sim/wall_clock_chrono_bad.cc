@@ -1,8 +1,8 @@
-// udwn-expect: none
-// src/obs is the blessed home for timing, so chrono is allowed here.
+// udwn-expect: det-wall-clock
+// Raw std::chrono outside src/obs and bench is a determinism leak.
 #include <chrono>
 namespace udwn {
-inline long long obs_stamp() {
+inline long long stamp() {
   return std::chrono::steady_clock::now().time_since_epoch().count();
 }
 }  // namespace udwn

@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
-"""Fixture harness for the repo's static checkers.
+"""Fixture harness for the repo's static checker, tools/udwn_analyze.py.
 
-Each fixture tree mirrors a tiny repo (`<tree>/src/<layer>/...`) so the
-path-scoped rules (float-eq, chrono, layering, env-hygiene) fire exactly as
-they would in the real tree, via the tools' --src-root flag. Every fixture
-file declares its expected finding set on the first line:
+The fixture tree `analyze_tree/` mirrors a tiny repo (`src/<layer>/...`,
+`bench/`, `tools/`), so the path-scoped rules (float-eq, det-wall-clock,
+rng-source, layering, env-hygiene) and the src-only call graph see it
+exactly as they see the real tree, via the analyzer's --src-root flag and
+its default paths. Every fixture file declares its expected finding set on
+the first line:
 
     // udwn-expect: rule-a rule-b      (these rules, at least once each,
                                         and no others)
     // udwn-expect: none               (must be perfectly clean)
 
-`lint_tree/` runs through udwn_lint.py, `analyze_tree/` through
-udwn_analyze.py (forced fallback frontend, no baseline). The harness
-compares the *set* of rules per file — line numbers are the fixtures'
-business, not the contract. Exit 0 = every fixture behaves.
+The analyzer runs with the forced fallback frontend and no baseline. The
+harness compares the *set* of rules per file — line numbers are the
+fixtures' business, not the contract. Exit 0 = every fixture behaves.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def run_tool(cmd: list[str]) -> dict:
         raise SystemExit(f"non-JSON output from {' '.join(cmd)}:\n{proc.stdout}")
 
 
-def check_tree(name: str, tree: Path, cmd: list[str]) -> int:
+def check_tree(tree: Path, cmd: list[str]) -> int:
     payload = run_tool(cmd)
     found: dict[str, set[str]] = {}
     for finding in payload["findings"]:
@@ -72,13 +73,13 @@ def check_tree(name: str, tree: Path, cmd: list[str]) -> int:
         if got != want:
             failures += 1
             print(
-                f"FAIL [{name}] {rel}: expected "
+                f"FAIL {rel}: expected "
                 f"{sorted(want) or ['none']}, got {sorted(got) or ['none']}"
             )
         else:
-            print(f"ok   [{name}] {rel}: {sorted(want) or ['none']}")
+            print(f"ok   {rel}: {sorted(want) or ['none']}")
     if not fixtures:
-        print(f"FAIL [{name}] no fixture files under {tree}")
+        print(f"FAIL no fixture files under {tree}")
         failures += 1
     return failures
 
@@ -153,29 +154,16 @@ def unit_checks() -> int:
 
 
 def main() -> int:
-    lint_tree = HERE / "lint_tree"
-    analyze_tree = HERE / "analyze_tree"
+    tree = HERE / "analyze_tree"
     failures = unit_checks()
     failures += check_tree(
-        "lint",
-        lint_tree,
-        [
-            str(TOOLS / "udwn_lint.py"),
-            "--json",
-            "--src-root", str(lint_tree),
-            str(lint_tree / "src"),
-        ],
-    )
-    failures += check_tree(
-        "analyze",
-        analyze_tree,
+        tree,
         [
             str(TOOLS / "udwn_analyze.py"),
             "--json",
             "--frontend", "fallback",
             "--baseline", "none",
-            "--src-root", str(analyze_tree),
-            str(analyze_tree / "src"),
+            "--src-root", str(tree),
         ],
     )
     if failures:

@@ -7,7 +7,7 @@
 # PATHs default to src tests bench examples tools. Exit 0 = clean.
 # --if-available turns a missing clang-tidy into a warning + exit 0 instead
 # of exit 127, so CI and contributor machines without clang dev packages
-# still pass (the udwn_lint/udwn_analyze gates run regardless).
+# still pass (the udwn_analyze gate runs regardless).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -1,9 +1,34 @@
 #!/usr/bin/env python3
-"""udwn_analyze — call-graph and structure-aware invariant analyzer.
+"""udwn_analyze — the repo's one static checker for its invariants.
 
-Where `udwn_lint.py` matches single lines, this tool builds a per-function IR
-(boundaries, calls, allocation sites) for every C++ source under src/ and runs
-four passes over it (see docs/TOOLING.md for the full rationale):
+Two kinds of rules (see docs/TOOLING.md for the full rationale). Line rules
+run on every requested file (default: src bench tools):
+
+  rng-source         rand()/srand(), std::random_device or a <random> engine
+                     outside src/common/rng.*: all randomness flows through
+                     udwn::Rng, so a run is a pure function of its seed.
+
+  raw-assert         assert() vanishes under NDEBUG and bypasses the contract
+                     subsystem: use UDWN_EXPECT/UDWN_ENSURE (kept in release)
+                     or UDWN_ASSERT (debug tier) from common/contract.h.
+
+  float-eq           Floating-point ==/!= against a literal in src/phy or
+                     src/metric: SINR and distance decisions use tolerances.
+
+  det-unordered-iter Any iteration (range-for, begin()) over a container the
+                     file declares as std::unordered_{map,set}: hash/address
+                     order must not feed simulation results.
+
+  det-ptr-key        std::map/std::set keyed by a pointer type: iteration
+                     order is address order, which varies run to run.
+
+  det-wall-clock     obs_now_ns()/std::chrono/<chrono>/clock_gettime/
+                     gettimeofday outside src/obs and bench.
+
+The other passes see src/ only: a per-function IR (boundaries, calls,
+allocation sites) of every C++ source under src/, and its include lines.
+bench/ and tools/ stay out, because their free functions (`run`, ...) would
+join the name-resolved call graph and their getenv reads are theirs to make.
 
   hot-path-alloc     Compute the call graph reachable from functions marked
                      UDWN_HOT (common/contract.h) and flag every reachable
@@ -13,24 +38,16 @@ four passes over it (see docs/TOOLING.md for the full rationale):
                      the counting-allocator *test* into a static proof
                      obligation on the slot pipeline.
 
-  det-unordered-iter Iteration over std::unordered_{map,set} whose loop body
-                     writes state. Unlike the regex rule, a read-only loop
-                     (pure lookup/accumulate into a sorted sink) is not
-                     flagged.
-
-  det-ptr-key        std::map/std::set keyed by a pointer type: iteration
-                     order is address order, which varies run to run.
-
-  det-wall-clock     obs_now_ns()/std::chrono/clock_gettime outside src/obs
-                     and bench: simulation output must be a pure function of
-                     the seed.
-
   layering           #include edges must follow the architecture DAG
                      (common -> obs/metric -> topo -> phy -> sensing ->
                      sim -> core -> baselines -> analysis); see DESIGN.md.
 
   env-hygiene        std::getenv only inside src/common/env.cpp (the strict
                      parser); everything else must take parsed config.
+
+  metric-dirty       Mutators (set_/add_/remove_/update_/apply_) of a
+                     QuasiMetric subclass in src/metric must report their
+                     change (bump_version or a DirtyLog record).
 
 Frontends: with the clang Python bindings installed (python3-clang +
 libclang), function boundaries come from the AST via compile_commands.json
@@ -55,6 +72,7 @@ import json
 import re
 import sys
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,12 +119,17 @@ LAYER_DEPS: dict[str, set[str]] = {
 }
 
 ENV_HOME = "src/common/env.cpp"
-# Prefix-matched files/dirs where wall-clock reads are legitimate. The svc
-# entry is deliberately one FILE, not the layer: ScenarioService reports
-# uptime in `status` responses (operational telemetry, docs/SERVICE.md),
-# while svc/exec.cpp stays clock-free — trial records must remain a pure
-# function of (request, seed), and this gate is what enforces that.
-CLOCK_HOMES = ("src/obs", "bench", "src/svc/service.cpp")
+#: Prefix-matched dirs where wall-clock reads are legitimate: the
+#: observability layer (obs_now_ns lives in src/obs/clock.h) and the
+#: benchmarks. Any other read, such as the svc uptime telemetry, carries an
+#: inline allow with its reason.
+CLOCK_HOMES = ("src/obs", "bench")
+#: The blessed RNG implementation, the one home of rng-source.
+RNG_HOME = re.compile(r"src/common/rng\.(h|cpp)$")
+#: float-eq applies only where numerics decide physics.
+FLOAT_EQ_DIRS = ("src/phy", "src/metric")
+#: The PATHs checked when none are given.
+DEFAULT_PATHS = ("src", "bench", "tools")
 
 HOT_MACRO = "UDWN_HOT"
 
@@ -157,19 +180,66 @@ WALL_CLOCK_RE = re.compile(
 PTR_KEY_RE = re.compile(
     r"std::(?:multi)?(?:map|set)\s*<\s*(?:const\s+)?[\w:]+\s*\*"
 )
+RNG_RE = re.compile(
+    r"(?<![\w:])(rand|srand)\s*\("
+    r"|std::random_device|(?<!\w)random_device\b"
+    r"|std::(mt19937(_64)?|minstd_rand0?|default_random_engine|ranlux\w+)"
+)
+RAW_ASSERT_RE = re.compile(
+    r"(?<![\w.])assert\s*\(|#\s*include\s*<(cassert|assert\.h)>"
+)
+FLOAT_LITERAL = (
+    r"(?:\d+\.\d*|\.\d+|\d+\.)(?:[eE][+-]?\d+)?[fF]?|\d+[eE][+-]?\d+[fF]?"
+)
+FLOAT_EQ_RE = re.compile(
+    rf"(?:(?:{FLOAT_LITERAL})\s*[!=]=)|(?:[!=]=\s*(?:{FLOAT_LITERAL}))"
+)
 UNORDERED_DECL = re.compile(
     r"std::unordered_(?:map|set|multimap|multiset)\s*<[^;]*?>\s+(\w+)\s*[;{=(]"
 )
 RANGE_FOR = re.compile(r"\bfor\s*\([^;)]*?:\s*([^)]+)\)")
 BEGIN_ITER = re.compile(r"(\w+)\s*\.\s*(?:begin|cbegin|rbegin)\s*\(")
-#: A loop body "writes" if it assigns — plain or compound, both are
-#: order-sensitive for floats — increments/decrements, or calls a mutating
-#: container method. Comparisons (==, !=, <=, >=) are not writes.
-WRITE_RE = re.compile(
-    r"(?<![=!<>])=(?![=])|\+\+|--"
-    r"|(?:\.|->)\s*(?:push_back|emplace_back|insert|emplace|erase|clear"
-    r"|resize|assign|push_front|pop_back|pop_front)\s*\("
-)
+
+#: Line rules: (rule, pattern, applies to this repo-relative path, message);
+#: `{hit}` in a message is the matched text.
+LINE_RULES: list[tuple[str, re.Pattern[str], Callable[[str], bool], str]] = [
+    (
+        "rng-source",
+        RNG_RE,
+        lambda rel: not RNG_HOME.search(rel),
+        "'{hit}' outside src/common/rng.*: all randomness must flow through "
+        "udwn::Rng (seed determinism)",
+    ),
+    (
+        "raw-assert",
+        RAW_ASSERT_RE,
+        lambda rel: True,
+        "raw assert(): use UDWN_EXPECT/UDWN_ENSURE (kept in release) or "
+        "UDWN_ASSERT (debug tier) from common/contract.h",
+    ),
+    (
+        "float-eq",
+        FLOAT_EQ_RE,
+        lambda rel: rel.startswith(FLOAT_EQ_DIRS),
+        "floating-point ==/!= in a physics path: compare with a tolerance, "
+        "or suppress with a reason if the value is an exact sentinel",
+    ),
+    (
+        "det-wall-clock",
+        WALL_CLOCK_RE,
+        lambda rel: not rel.startswith(CLOCK_HOMES),
+        "wall-clock read ('{hit}') outside src/obs and bench: simulation "
+        "output must be a pure function of the seed",
+    ),
+    (
+        "det-ptr-key",
+        PTR_KEY_RE,
+        lambda rel: True,
+        "ordered container keyed by pointer: iteration order is address "
+        "order, which varies between runs — key by NodeId or another stable "
+        "value",
+    ),
+]
 
 UNIQUE_PTR_DECL = re.compile(
     r"std::unique_ptr\s*<\s*([A-Za-z_]\w*)\s*>\s+([A-Za-z_]\w*)"
@@ -731,7 +801,7 @@ def hot_path_pass(
     return findings
 
 
-# --- Textual passes ----------------------------------------------------------
+# --- Per-file passes ---------------------------------------------------------
 
 
 def layer_of(rel: str) -> str | None:
@@ -788,87 +858,57 @@ def env_pass(facts: FileFacts) -> list[Finding]:
     return findings
 
 
-def wall_clock_pass(facts: FileFacts) -> list[Finding]:
-    if any(facts.rel.startswith(d) for d in CLOCK_HOMES):
-        return []
+def line_pass(facts: FileFacts) -> list[Finding]:
+    """Every LINE_RULES rule whose scope covers this file, at most one
+    finding per rule and line."""
+    rules = [r for r in LINE_RULES if r[2](facts.rel)]
     findings = []
     for lineno, line in enumerate(facts.code_lines, 1):
-        m = WALL_CLOCK_RE.search(line)
-        if m:
-            findings.append(
-                Finding(
-                    path=facts.rel,
-                    line=lineno,
-                    rule="det-wall-clock",
-                    message=f"wall-clock read ('{m.group(0).strip()}') "
-                    "outside src/obs and bench: simulation output must be a "
-                    "pure function of the seed",
-                    what=m.group(0).strip().split("(")[0],
+        for rule, pattern, _, message in rules:
+            m = pattern.search(line)
+            if m:
+                hit = m.group(0).strip().rstrip("(").rstrip()
+                findings.append(
+                    Finding(
+                        path=facts.rel,
+                        line=lineno,
+                        rule=rule,
+                        message=message.format(hit=hit),
+                        what=hit,
+                    )
                 )
-            )
-    return findings
-
-
-def ptr_key_pass(facts: FileFacts) -> list[Finding]:
-    findings = []
-    for lineno, line in enumerate(facts.code_lines, 1):
-        m = PTR_KEY_RE.search(line)
-        if m:
-            findings.append(
-                Finding(
-                    path=facts.rel,
-                    line=lineno,
-                    rule="det-ptr-key",
-                    message="ordered container keyed by pointer: iteration "
-                    "order is address order, which varies between runs — "
-                    "key by NodeId or another stable value",
-                    what=m.group(0),
-                )
-            )
     return findings
 
 
 def unordered_iter_pass(facts: FileFacts) -> list[Finding]:
+    """Any range-for or begin() over a name this file declares unordered.
+
+    Declarations are matched over the whole text, for multi-line ones, and
+    line by line, since a whole-text match can run past a later one-line
+    declaration. A loop that only reads is flagged too: prove it
+    order-insensitive and suppress with a reason.
+    """
     names = set(UNORDERED_DECL.findall(facts.code))
+    for line in facts.code_lines:
+        names.update(UNORDERED_DECL.findall(line))
     if not names:
         return []
     findings = []
-    code = facts.code
-    lines = facts.code_lines
-    # Precompute char offset of each line start for body slicing.
-    offsets = [0]
-    for line in lines:
-        offsets.append(offsets[-1] + len(line) + 1)
-
-    def body_after(lineno: int) -> str:
-        """Loop body: next brace group, or text to the next `;`."""
-        start = offsets[lineno - 1]
-        brace = code.find("{", start)
-        semi = code.find(";", code.find(")", start) + 1)
-        if brace != -1 and (semi == -1 or brace < semi):
-            end, _ = match_brace(code, brace, 0)
-            return code[brace : end + 1]
-        return code[start : semi + 1] if semi != -1 else ""
-
-    for lineno, line in enumerate(lines, 1):
-        hit = ""
+    for lineno, line in enumerate(facts.code_lines, 1):
+        hits = {m.group(1) for m in BEGIN_ITER.finditer(line)} & names
         for m in RANGE_FOR.finditer(line):
-            common = set(re.findall(r"\w+", m.group(1))) & names
-            if common:
-                hit = sorted(common)[0]
-        for m in BEGIN_ITER.finditer(line):
-            if m.group(1) in names:
-                hit = m.group(1)
-        if hit and WRITE_RE.search(body_after(lineno)):
+            hits |= set(re.findall(r"\w+", m.group(1))) & names
+        if hits:
+            hit = sorted(hits)[0]
             findings.append(
                 Finding(
                     path=facts.rel,
                     line=lineno,
                     rule="det-unordered-iter",
-                    message=f"loop over unordered container '{hit}' writes "
-                    "state: hash/address iteration order would leak into "
-                    "simulation results — sort the keys first or use an "
-                    "ordered container",
+                    message=f"iteration over unordered container '{hit}': "
+                    "hash/address order must not feed simulation results — "
+                    "sort the keys first, use an ordered container, or "
+                    "suppress with a reason if the loop is order-insensitive",
                     what=hit,
                 )
             )
@@ -977,7 +1017,7 @@ def main(argv: list[str]) -> int:
 
     repo_root = Path(__file__).resolve().parent.parent
     src_root = Path(args.src_root).resolve() if args.src_root else repo_root
-    requested = args.paths or ["src"]
+    requested = args.paths or list(DEFAULT_PATHS)
     files = collect_files(requested, src_root)
     if not files:
         print("udwn_analyze: no C++ sources under the given paths", file=sys.stderr)
@@ -985,19 +1025,19 @@ def main(argv: list[str]) -> int:
 
     notes: list[str] = []
 
-    # Always load the whole src tree for IR building, even when the user
-    # asked about a subset — the call graph needs every definition.
-    ir_files = set(files)
-    if src_root.joinpath("src").is_dir():
-        ir_files.update(collect_files(["src"], src_root))
+    def rel_of(f: Path) -> str:
+        try:
+            return str(f.resolve().relative_to(src_root))
+        except ValueError:
+            return str(f)
 
+    # The IR is the whole src tree, even when a subset was requested (the
+    # call graph needs every definition), and never bench/ or tools/.
+    ir_files = collect_files(["src"], src_root)
+    requested_rels = {rel_of(f) for f in files}
     all_facts: dict[str, FileFacts] = {}
     suppression_findings: list[Finding] = []
-    for f in sorted(ir_files):
-        try:
-            rel = str(f.resolve().relative_to(src_root))
-        except ValueError:
-            rel = str(f)
+    for rel, f in sorted({rel_of(f): f for f in ir_files + files}.items()):
         raw = f.read_text(encoding="utf-8", errors="replace")
         raw_lines = raw.splitlines()
         suppressed, bad = parse_suppressions(raw_lines, rel)
@@ -1010,13 +1050,14 @@ def main(argv: list[str]) -> int:
             suppressed=suppressed,
         )
         suppression_findings.extend(bad)
+    ir_facts = {rel: all_facts[rel] for rel in map(rel_of, ir_files)}
 
     # Frontend: function boundaries.
     functions: list[FunctionInfo] = []
     hot_decls: set[str] = set()
     noreturn_decls: set[str] = set()
     global_types: dict[str, str] = {}
-    for facts in all_facts.values():
+    for facts in ir_facts.values():
         fns, hots, norets, types = parse_functions_fallback(facts)
         hot_decls |= hots
         noreturn_decls |= norets
@@ -1032,7 +1073,7 @@ def main(argv: list[str]) -> int:
         )
         clang_fns = None
         if compdb_dir.joinpath("compile_commands.json").is_file():
-            clang_fns = parse_functions_clang(all_facts, compdb_dir, repo_root)
+            clang_fns = parse_functions_clang(ir_facts, compdb_dir, repo_root)
         if clang_fns is not None:
             functions = merge_frontends(clang_fns, functions)
             for fn in functions:
@@ -1056,28 +1097,21 @@ def main(argv: list[str]) -> int:
 
     analyze_bodies(functions, global_types)
 
-    # Passes. Hot-path runs on the whole IR; findings are filtered to the
-    # requested paths afterwards.
-    requested_rels = set()
-    for f in files:
-        try:
-            requested_rels.add(str(f.resolve().relative_to(src_root)))
-        except ValueError:
-            requested_rels.add(str(f))
-
+    # Passes. The src-only passes run on the whole IR and their findings
+    # are filtered to the requested paths; line rules run on each requested
+    # file.
     raw_findings: list[Finding] = []
     raw_findings.extend(
-        hot_path_pass(functions, hot_decls, noreturn_decls, all_facts)
+        hot_path_pass(functions, hot_decls, noreturn_decls, ir_facts)
     )
-    raw_findings.extend(metric_dirty_pass(functions, all_facts))
-    for facts in all_facts.values():
+    raw_findings.extend(metric_dirty_pass(functions, ir_facts))
+    for facts in ir_facts.values():
         raw_findings.extend(layering_pass(facts))
         raw_findings.extend(env_pass(facts))
-        raw_findings.extend(wall_clock_pass(facts))
-        raw_findings.extend(ptr_key_pass(facts))
-        raw_findings.extend(unordered_iter_pass(facts))
-
     raw_findings = [f for f in raw_findings if f.path in requested_rels]
+    for rel in requested_rels:
+        raw_findings.extend(line_pass(all_facts[rel]))
+        raw_findings.extend(unordered_iter_pass(all_facts[rel]))
     raw_findings.extend(
         f for f in suppression_findings if f.path in requested_rels
     )

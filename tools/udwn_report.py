@@ -1,9 +1,8 @@
-"""Shared reporting layer for the repo's static checkers.
+"""Reporting layer of the repo's static checker, `udwn_analyze.py`.
 
-`udwn_lint.py` (line regexes) and `udwn_analyze.py` (AST/call-graph passes)
-produce the same `Finding` records and route them through `emit()`, so CI
-gets one machine-readable format (`--json`) and one annotation style instead
-of two tools' worth of stderr grepping.
+Every rule, line regex or call-graph pass, produces `Finding` records that
+go through `emit()`, so CI gets one machine-readable format (`--json`) and
+one annotation style, and the fixture harness one payload to diff.
 
 Conventions enforced here:
 
