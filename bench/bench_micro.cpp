@@ -53,7 +53,7 @@ void BM_ChannelResolve(benchmark::State& state) {
   SlotWorkspace ws;
   for (auto _ : state) {
     const SlotOutcome& outcome = s.channel().resolve_into(
-        txs, s.network().alive_mask(), 1.0, s.network().topology_epoch(), ws);
+        txs, s.network().alive_mask(), 1.0, ws);
     benchmark::DoNotOptimize(&outcome);
   }
 }
@@ -83,7 +83,7 @@ void BM_ChannelResolveThreads(benchmark::State& state) {
   SlotWorkspace ws({.threads = static_cast<int>(state.range(1))});
   for (auto _ : state) {
     const SlotOutcome& outcome = s.channel().resolve_into(
-        txs, s.network().alive_mask(), 1.0, s.network().topology_epoch(), ws);
+        txs, s.network().alive_mask(), 1.0, ws);
     benchmark::DoNotOptimize(&outcome);
   }
 }

@@ -10,7 +10,7 @@ namespace {
 // Ring growth span: start small (static metrics never mutate), grow
 // geometrically under load, stop at the cap. 1<<17 entries is 1.5 MiB —
 // enough for ~16k movers per round over an 8-round collect lag, far beyond
-// any real workload; past it, history loss just degrades to the epoch path.
+// any real workload; past it, history loss just degrades to version stamps.
 constexpr std::size_t kInitialCapacity = 64;
 constexpr std::size_t kMaxCapacity = std::size_t{1} << 17;
 }  // namespace

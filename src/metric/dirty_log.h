@@ -1,5 +1,4 @@
-// Per-node dirty tracking for metric mutations, and the TopologyDelta the
-// simulation layer folds them into.
+// Per-node dirty tracking for metric mutations.
 //
 // The paper bounds how fast a dynamic network may change (Sec. 2
 // "Dynamicity": a node gains at most τ·|T| new neighbors per Ω(log n)
@@ -7,9 +6,11 @@
 // changed nodes, not with n. The global QuasiMetric::version() cannot
 // express that — any mutation makes *everything* look stale. DirtyLog keeps
 // the version counter as the coarse fallback and records, alongside it,
-// WHICH node ids each version tick touched, so epoch consumers keep working
-// unchanged while delta consumers (TopologyCache::apply_delta) invalidate
-// only what moved.
+// WHICH node ids each version tick touched, so version-stamped caches keep
+// working unchanged while a cache that reads the window since its last sync
+// (TopologyCache::sync) invalidates only what moved. Reading is not
+// consuming: any number of caches over one metric each read their own
+// window.
 //
 // Contract for metric implementers (see QuasiMetric::bump_version(NodeId)):
 // a localized mutation that changes d(u,v) must dirty every endpoint whose
@@ -20,8 +21,8 @@
 // neighborhood geometrically through the SpatialGrid. Mutations that cannot
 // enumerate their dirty set (whole-matrix swaps, appended points) call the
 // coarse bump_version(), which records a *global* change: collect() then
-// reports the window as non-localizable and consumers fall back to the
-// epoch path. Missing or over-coarse records are therefore safe (slow), a
+// reports the window as non-localizable and consumers fall back to plain
+// version stamps. Missing or over-coarse records are therefore safe (slow), a
 // missing version bump is not (stale) — exactly the pre-existing contract.
 #pragma once
 
@@ -73,36 +74,6 @@ class DirtyLog {
   std::uint64_t evicted_version_ = 0;
   // Highest version recorded as a global (non-localizable) change.
   std::uint64_t global_version_ = 0;
-};
-
-/// One round's worth of topology change, as folded by Network::collect_delta
-/// from the metric's DirtyLog and the alive-flag churn. The epoch/version
-/// fields anchor the delta to the exact states it connects: consumers that
-/// were fresh at `prev_epoch` can advance to `epoch` by refreshing only the
-/// listed nodes; consumers anywhere else ignore the delta and fall back to
-/// lazy epoch invalidation (same bits, more recomputation).
-struct TopologyDelta {
-  /// True when the metric change was not localizable (coarse bump_version,
-  /// or DirtyLog history loss). `moved` is meaningless; consumers must take
-  /// the epoch path.
-  bool coarse = false;
-  /// Metric-dirty node ids in (prev_metric_version, metric_version],
-  /// sorted ascending, deduplicated.
-  std::vector<NodeId> moved;
-  /// Nodes whose alive flag toggled, sorted ascending, deduplicated. A node
-  /// toggled twice (depart + re-arrive in one round) still appears: its
-  /// neighbors' cached lists were computed against an unknown intermediate
-  /// state, so marking it is the conservative choice.
-  std::vector<NodeId> alive_toggled;
-  std::uint64_t prev_metric_version = 0;
-  std::uint64_t metric_version = 0;
-  std::uint64_t prev_epoch = 0;
-  std::uint64_t epoch = 0;
-
-  /// Nothing changed: every consumer may skip the delta entirely.
-  [[nodiscard]] bool empty() const {
-    return !coarse && moved.empty() && alive_toggled.empty();
-  }
 };
 
 }  // namespace udwn

@@ -23,24 +23,24 @@ class QuasiMetric {
   virtual ~QuasiMetric() = default;
 
   /// Monotonic mutation counter: every change to the distance function
-  /// (moved point, edited matrix entry, appended point) bumps it. Epoch-
-  /// invalidated caches (TopologyCache, Network::topology_epoch) compare
-  /// versions instead of re-deriving distances, so every mutable metric
+  /// (moved point, edited matrix entry, appended point) bumps it. Version-
+  /// stamped caches (TopologyCache, FarFieldWorkspace) compare versions
+  /// instead of re-deriving distances, so every mutable metric
   /// MUST call a bump_version overload from its mutators — a missed bump
   /// makes a cache silently stale. Inside a begin_update()/end_update()
   /// span the counter advances by exactly one for the whole batch.
   [[nodiscard]] std::uint64_t version() const { return version_; }
 
-  /// Which nodes each version tick touched (dirty_log.h). Delta consumers
-  /// (Network::collect_delta → TopologyCache::apply_delta) read version
-  /// windows out of this; coarse consumers keep comparing version() alone.
+  /// Which nodes each version tick touched (dirty_log.h). TopologyCache::
+  /// sync reads the window since the version it last synced at; coarse
+  /// consumers keep comparing version() alone.
   [[nodiscard]] const DirtyLog& dirty_log() const { return dirty_log_; }
 
   /// Batch several localized mutations into ONE version tick. Spans nest
   /// (depth-counted); the outermost end_update() commits the tick, and only
   /// if a bump was requested inside. Dirty records issued inside the span
   /// all carry the committed version, so WaypointMobility moving k nodes
-  /// costs coarse consumers one epoch bump, not k.
+  /// costs coarse consumers one version bump, not k.
   void begin_update() { ++update_depth_; }
   void end_update() {
     UDWN_EXPECT(update_depth_ > 0);
@@ -68,8 +68,8 @@ class QuasiMetric {
 
  protected:
   /// Coarse bump: the change is not localizable to named nodes (appended
-  /// point, whole-matrix swap). Records a global dirty mark, so delta
-  /// consumers fall back to the epoch path for the affected window.
+  /// point, whole-matrix swap). Records a global dirty mark, so window
+  /// readers fall back to plain version stamps for the affected window.
   void bump_version() {
     dirty_log_.record_global(pending_version());
     commit_bump();

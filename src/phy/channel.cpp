@@ -263,7 +263,7 @@ void Channel::decode_gather(const SlotView& view, const PathLoss& pl,
 const SlotOutcome& Channel::resolve_into(
     std::span<const NodeId> transmitters,
     std::span<const std::uint8_t> alive, double power_scale,
-    std::uint64_t topology_epoch, SlotWorkspace& ws) const {
+    SlotWorkspace& ws) const {
   UDWN_EXPECT(alive.size() == metric_->size());
   UDWN_EXPECT(power_scale > 0);
   const std::size_t n = metric_->size();
@@ -276,8 +276,7 @@ const SlotOutcome& Channel::resolve_into(
   const PathLoss& pl = unscaled ? *pathloss_ : scaled;
 
   TopologyCache& cache = ws.cache_;
-  cache.sync(*metric_, *pathloss_, comm_radius_, max_range_, alive,
-             topology_epoch);
+  cache.sync(*metric_, *pathloss_, comm_radius_, max_range_);
   TaskPool* pool = ws.pool_.get();
 
   SlotOutcome& out = ws.outcome_;
@@ -407,6 +406,7 @@ const SlotOutcome& Channel::resolve_into(
       const NodeId u = transmitters[i];
       bool all = true;
       for (NodeId v : cache.neighbors(u, scratch)) {
+        if (!alive[v.value]) continue;  // cached lists keep dead nodes
         if (out.decoded_from[v.value] != u) {
           all = false;
           break;

@@ -13,9 +13,9 @@
 //                      determinism audit compare every slot against it.
 //   * resolve_into() — the production pipeline: reuses a caller-owned
 //                      SlotWorkspace (no steady-state allocation), serves
-//                      neighborhoods and pairwise gains from an epoch-
-//                      invalidated TopologyCache (which the engine also
-//                      freshens with per-round deltas), sums the field in
+//                      neighborhoods and pairwise gains from a version-
+//                      stamped TopologyCache (which freshens itself from
+//                      the metric's DirtyLog), sums the field in
 //                      one gain-table driver (plan_rows, then fill and
 //                      accumulate per listener block: interference.h),
 //                      prunes decode/clear candidates with a SpatialGrid on
@@ -92,8 +92,8 @@ struct SlotWorkspaceConfig {
 /// Reusable per-slot state owned by the caller (one per Engine). Hoists
 /// every buffer the slot pipeline needs out of the hot loop: after a warm-up
 /// slot at a given instance size, resolve_into performs no heap allocation
-/// while the topology epoch is stable (enforced by a counting-allocator
-/// test). Not thread-safe; one workspace per concurrently running engine.
+/// while the metric is stable (enforced by a counting-allocator test). Not
+/// thread-safe; one workspace per concurrently running engine.
 class SlotWorkspace {
  public:
   explicit SlotWorkspace(SlotWorkspaceConfig config = {});
@@ -157,14 +157,13 @@ class Channel {
                                     double power_scale = 1.0) const;
 
   /// Resolve one slot through `workspace` (see class comment above).
-  /// `topology_epoch` is Network::topology_epoch() — any monotonic counter
-  /// that bumps whenever the alive mask or the metric changes. Transmitter
-  /// ids must be unique. Returns the workspace's outcome; the reference is
-  /// valid until the next resolve_into on the same workspace.
+  /// The workspace's cache tracks the metric on its own (its version and
+  /// DirtyLog); `alive` is read fresh every slot. Transmitter ids must be
+  /// unique. Returns the workspace's outcome; the reference is valid until
+  /// the next resolve_into on the same workspace.
   UDWN_HOT const SlotOutcome& resolve_into(
       std::span<const NodeId> transmitters, std::span<const std::uint8_t> alive,
-      double power_scale, std::uint64_t topology_epoch,
-      SlotWorkspace& workspace) const;
+      double power_scale, SlotWorkspace& workspace) const;
 
   /// The power scale that shrinks the SINR clear-channel range by `factor`:
   /// factor^ζ.

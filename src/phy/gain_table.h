@@ -36,9 +36,10 @@
 //     — instead of refilled in full. The record is trusted only from its
 //     *tracking horizon* on: the earliest version from which every move
 //     reached apply_delta. When the metric version advances without a delta
-//     (coarse change, delta invalidation off, a skipped round) plan_rows
-//     moves the horizon to the current version, and every tile filled
-//     before it refills in full, exactly as under epoch invalidation.
+//     (a coarse change or lost history, which TopologyCache::sync cannot
+//     read as a window) plan_rows moves the horizon to the current version,
+//     and every tile filled before it refills in full, exactly as under
+//     plain version stamps.
 //
 // Why a patch is exact: by the dirty-set contract (metric/dirty_log.h)
 // every changed d(u,v) dirties u or v. Row u clean since the fill version f
@@ -195,7 +196,7 @@ class GainTable {
   /// containing no dirty id — to `new_version`. Tiles left behind go stale
   /// and are patched (or refilled) lazily by the next plan. `dirty` must list
   /// every node whose distances may have changed in (prev_version,
-  /// new_version] (the TopologyDelta::moved contract). Skipping this call
+  /// new_version], as DirtyLog::collect reports them. Skipping this call
   /// is always sound: plan_rows sees the version advance without a delta
   /// and falls back to full refills.
   void apply_delta(std::span<const NodeId> dirty, std::uint64_t prev_version,

@@ -5,7 +5,7 @@
 //
 // The index is incrementally maintainable: move()/erase()/insert() update
 // only the affected cells, so a round that moves k nodes costs O(k) grid
-// work instead of an O(n) rebuild (TopologyCache::apply_delta relies on
+// work instead of an O(n) rebuild (TopologyCache::sync relies on
 // this). Cell member lists stay sorted by id, which makes a mutated grid
 // observably identical to one rebuilt from scratch over the same points —
 // same candidates, same visit order — except that a cell drained to empty

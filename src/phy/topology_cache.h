@@ -1,38 +1,46 @@
-// Epoch-invalidated topology caches for the slot pipeline.
+// Version-stamped topology caches for the slot pipeline.
 //
 // Channel::resolve re-derives three quantities that are pure functions of
-// the (metric, alive-mask) topology: alive neighborhoods N(u), pairwise
-// gains pathloss.signal(metric.distance(u, v)), and (for Euclidean
-// instances) range-query candidate sets. Under the paper's dynamics these
-// change only when Dynamics toggles an alive flag or moves a point — both
-// of which bump an epoch (Network::topology_epoch, QuasiMetric::version) —
-// so between changes every slot can reuse the previous derivation.
+// the metric: neighborhoods (every node within the communication radius),
+// pairwise gains pathloss.signal(metric.distance(u, v)), and (for
+// Euclidean instances) range-query candidate sets. Under the paper's
+// dynamics these change only when a point moves, which bumps
+// QuasiMetric::version(); arrivals and departures toggle alive flags, which
+// no cached value depends on: neighbor lists hold dead and alive nodes
+// alike, and their one reader (the mass-delivery loop of
+// Channel::resolve_into) skips the dead. So between moves every slot can
+// reuse the previous derivation.
 //
-// TopologyCache holds those derivations with per-entry epoch stamps:
-//   * neighbor lists   — per node, stamped with the caller-supplied
-//                        topology epoch (covers alive churn AND moves);
+// TopologyCache holds those derivations, each stamped with the metric
+// version it was computed at (plus one, so a zero stamp is always stale):
+//   * neighbor lists   — per node;
 //   * a GainTable      — tiled LRU cache of unscaled per-source gain rows,
-//                        stamped with the metric version only (gains ignore
-//                        the alive mask); see gain_table.h;
+//                        freshness tracked per tile; see gain_table.h;
 //   * a SpatialGrid    — over *all* points of a EuclideanMetric (callers
-//                        filter dead ids), rebuilt per metric version.
+//                        filter dead ids).
 //
-// Everything is recomputed lazily on first use after an epoch bump, so a
-// mobility workload that moves every node each round pays no more than the
-// brute-force sweep, while static/churn-only workloads amortize to O(1) per
-// query. Cached values are produced by the exact same expressions as the
-// brute-force paths (same doubles in, same libm calls), which is what makes
-// the cached pipeline bit-for-bit identical to Channel::resolve — the
-// determinism audit enforces this, tests/test_slot_pipeline.cpp proves it
+// Freshness has one key, the metric version, and one module that decides
+// it. sync() remembers the version it last synced at; when version() has
+// moved since, it reads the metric's DirtyLog window between the two once
+// and carries forward what the window proves unchanged (see sync). Reading
+// the log consumes nothing, so any number of caches over one metric each
+// catch up on their own. Whatever the window cannot vouch for goes stale
+// and is recomputed lazily on first use, so a mobility workload that moves
+// every node each round pays no more than the brute-force sweep, while
+// static and churn-only workloads amortize to O(1) per query. Cached values
+// are produced by the exact same expressions as the brute-force paths
+// (same doubles in, same arithmetic), which is what makes the cached
+// pipeline bit-for-bit identical to Channel::resolve — the determinism
+// audit enforces this, tests/test_slot_pipeline.cpp proves it
 // property-style.
 //
 // The grid is attached to every EuclideanMetric instance and to nothing
 // else: grid queries are symmetric Euclidean balls, and a general
 // quasi-metric (MatrixMetric) may be asymmetric, so pruning with a grid
 // would be unsound there. Non-Euclidean metrics run the same cache without
-// a grid (brute-force neighbor sweeps, dirty-set-only delta freshening).
+// a grid (brute-force neighbor sweeps, dirty-set-only list freshening).
 // With a grid a stale neighbor list costs one ball query to refill, so a
-// Euclidean delta freshens no lists at all; apply_delta explains why.
+// Euclidean window freshens no lists at all; sync explains why.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +51,6 @@
 #include "common/contract.h"
 #include "common/parallel.h"
 #include "common/types.h"
-#include "metric/dirty_log.h"
 #include "metric/euclidean.h"
 #include "metric/quasi_metric.h"
 #include "phy/gain_table.h"
@@ -67,41 +74,37 @@ class TopologyCache {
   TopologyCache() : TopologyCache(Config{}) {}
   explicit TopologyCache(Config config);
 
-  /// Bind to a topology and refresh bookkeeping. Cheap when nothing
-  /// changed; called once per slot. `comm_radius` is the neighborhood
-  /// radius (1-ε)R, `grid_cell` the grid cell size (typically R), `epoch`
-  /// the Network::topology_epoch() covering alive churn and moves.
+  /// Bind to a topology and bring the cache up to the metric's current
+  /// version. Cheap when nothing moved; called once per slot. `comm_radius`
+  /// is the neighborhood radius (1-ε)R, `grid_cell` the grid cell size
+  /// (typically R).
+  ///
+  /// When version() moved since the last sync, the DirtyLog window between
+  /// the two is read once. If it is localizable, the cache carries forward
+  /// what it proves unchanged: the gain table records the moved columns
+  /// (only tiles that touch a mover go stale), and on a Euclidean metric the
+  /// SpatialGrid moves its movers in O(|moved|) instead of a rebuild, if it
+  /// was current at the last sync. Neighbor lists there go stale and refill
+  /// on their next read with one grid query, since only a slot's few
+  /// transmitters read them. On a non-Euclidean metric a refill is an O(n)
+  /// sweep, so the lists of nodes outside the dirty set are restamped fresh
+  /// instead. Purely a *freshening* step: it never marks anything stale
+  /// (staleness falls out of the ordinary stamp comparisons), so a window
+  /// it cannot read (coarse change, lost history, rebind) degrades to the
+  /// bit-identical lazy path.
   void sync(const QuasiMetric& metric, const PathLoss& pathloss,
-            double comm_radius, double grid_cell,
-            std::span<const std::uint8_t> alive, std::uint64_t epoch);
+            double comm_radius, double grid_cell);
 
-  /// Alive neighbors of u: identical contents and (ascending id) order to
-  /// Channel::neighbors(u, alive). Valid until the next sync/mutation. A
-  /// stale list is refilled through `scratch` (previous contents ignored)
-  /// and copied into u's list, so a first fill allocates it at its exact
-  /// size. Once grid() is current, a refill reads shared state and writes
-  /// only u's entries, so callers with their own scratch may read the lists
-  /// of distinct nodes concurrently.
+  /// Every node other than u within comm_radius of u, dead or alive, in
+  /// ascending id order: Channel::neighbors(u, alive) is exactly this list
+  /// filtered by `alive`. Valid until the next sync/mutation. A stale list
+  /// is refilled through `scratch` (previous contents ignored) and copied
+  /// into u's list, so a first fill allocates it at its exact size. Once
+  /// grid() is current, a refill reads shared state and writes only u's
+  /// entries, so callers with their own scratch may read the lists of
+  /// distinct nodes concurrently.
   [[nodiscard]] std::span<const NodeId> neighbors(
       NodeId u, std::vector<NodeId>& scratch);
-
-  /// Delta invalidation (the fast path the epoch mechanism falls back
-  /// from): given the per-round TopologyDelta connecting the epoch this
-  /// cache was last synced at to the current one, record the moved columns
-  /// in the gain table (only tiles that touch a mover get patched) and
-  /// carry what is cheaper to carry than to rebuild. On a Euclidean metric
-  /// that is the SpatialGrid, moved in O(|moved|) instead of rebuilt;
-  /// neighbor lists are left to go stale and refill on their next read
-  /// with one grid query, since only a slot's few transmitters read them.
-  /// On a non-Euclidean metric a refill is an O(n) sweep, so the lists of
-  /// nodes outside the dirty set are restamped fresh instead (not after
-  /// alive toggles, whose reach is unbounded without geometry). Purely a
-  /// *freshening* optimization: it never marks anything stale (staleness
-  /// falls out of the ordinary stamp comparisons), so skipping the call —
-  /// coarse deltas, epoch mismatch after missed rounds, pending rebind —
-  /// degrades to the bit-identical epoch path. Call between the round's
-  /// topology mutations and its first sync().
-  UDWN_HOT void apply_delta(const TopologyDelta& delta);
 
   /// Node u stopped transmitting (its Data-slot probability dropped to 0,
   /// or it departed): its gain rows are evicted before every other row.
@@ -137,15 +140,16 @@ class TopologyCache {
   const QuasiMetric* metric_ = nullptr;
   const PathLoss* pathloss_ = nullptr;
   const EuclideanMetric* euclid_ = nullptr;
-  std::span<const std::uint8_t> alive_;
   double comm_radius_ = 0;
   double grid_cell_ = 0;
-  std::uint64_t epoch_ = 0;
+  std::uint64_t version_ = 0;  // metric version at the last sync
 
-  // Per-node alive neighborhoods; stamp == epoch_ marks a fresh entry.
+  // Per-node neighborhoods; stamp == metric version + 1 marks a fresh entry.
   std::vector<std::vector<NodeId>> neighbor_lists_;
   std::vector<std::uint64_t> neighbor_stamp_;
-  // apply_delta scratch for non-Euclidean metrics, sized at sync.
+  // sync scratch: the window's movers (sorted, unique) and, on
+  // non-Euclidean metrics, their flags (sized at bind).
+  std::vector<NodeId> moved_;
   std::vector<std::uint8_t> affected_;
 
   // Tiled LRU gain table (freshness tracked internally per tile).

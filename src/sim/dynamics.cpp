@@ -102,7 +102,7 @@ ChangeSet WaypointMobility::step(Network& network, Rng& rng,
   ChangeSet changes;
   // One batched update span for the whole round: k set_position calls
   // commit as ONE metric version tick (each still dirty-logged per node),
-  // so epoch consumers see one bump per round, not one per mover.
+  // so version consumers see one bump per round, not one per mover.
   metric_->begin_update();
   const std::span<const std::uint8_t> alive = network.alive_mask();
   const std::uint32_t end = std::min(

@@ -31,11 +31,6 @@ Engine::Engine(const Channel& channel, Network& network,
   UDWN_EXPECT(config_.drift_bound >= 1);
   UDWN_EXPECT(config_.threads >= 1);
 
-  // step() hands the caches a TopologyDelta every round, so the network
-  // must accumulate per-round change sets; tracking is records-only (no
-  // rng, no trace effect), so arming it cannot perturb the simulation.
-  network.set_track_changes(true);
-
   const std::size_t n = network.size();
   tx_payload_.assign(n, 0);
   node_rng_.reserve(n);
@@ -116,13 +111,6 @@ void Engine::step() {
       // Arrivals restart from the protocol's initial configuration (Sec. 2).
       for (NodeId v : changes.arrivals) protocols_[v.value]->on_start();
     }
-
-    // Delta fast path: hand the round's TopologyDelta to the caches while
-    // the previous round's stamps are still comparable (before any slot
-    // syncs the new epoch). Quiet rounds produce an empty delta and the
-    // call is a handful of compares — the static-scenario trace is
-    // untouched.
-    workspace_.cache().apply_delta(network_->collect_delta());
   }
 
   // Slot 0 is the Data slot; its sampling sweep also advances the local
@@ -397,7 +385,6 @@ void Engine::run_slot(Slot slot) {
   {
     StageTimer timer(obs, &EngineCounterIds::hist_stage_resolve);
     resolved = &channel_->resolve_into(transmitters, alive, power_scale,
-                                       network_->topology_epoch(),
                                        workspace_);
   }
   const SlotOutcome& outcome = *resolved;

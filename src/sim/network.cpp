@@ -1,7 +1,5 @@
 #include "sim/network.h"
 
-#include <algorithm>
-
 #include "common/contract.h"
 
 namespace udwn {
@@ -22,45 +20,6 @@ void Network::set_alive(NodeId v, bool alive) {
   if (was == alive) return;
   alive_[v.value] = static_cast<std::uint8_t>(alive);
   alive_count_ += alive ? 1 : std::size_t(-1);
-  ++alive_epoch_;
-  if (track_changes_) alive_dirty_.push_back(v);
-}
-
-void Network::set_track_changes(bool on) {
-  if (on == track_changes_) return;
-  track_changes_ = on;
-  alive_dirty_.clear();
-  if (on) {
-    // Anchor the collection window at the current state: the first
-    // collect_delta reports only changes from here on.
-    last_metric_version_ = metric_->version();
-    last_epoch_ = topology_epoch();
-  }
-}
-
-const TopologyDelta& Network::collect_delta() {
-  UDWN_EXPECT(track_changes_);
-  delta_.moved.clear();
-  delta_.alive_toggled.clear();
-  delta_.prev_metric_version = last_metric_version_;
-  delta_.metric_version = metric_->version();
-  delta_.prev_epoch = last_epoch_;
-  delta_.epoch = topology_epoch();
-  delta_.coarse = !metric_->dirty_log().collect(
-      delta_.prev_metric_version, delta_.metric_version, delta_.moved);
-  if (delta_.coarse) delta_.moved.clear();
-  std::sort(delta_.moved.begin(), delta_.moved.end());
-  delta_.moved.erase(std::unique(delta_.moved.begin(), delta_.moved.end()),
-                     delta_.moved.end());
-  delta_.alive_toggled.assign(alive_dirty_.begin(), alive_dirty_.end());
-  std::sort(delta_.alive_toggled.begin(), delta_.alive_toggled.end());
-  delta_.alive_toggled.erase(std::unique(delta_.alive_toggled.begin(),
-                                         delta_.alive_toggled.end()),
-                             delta_.alive_toggled.end());
-  alive_dirty_.clear();
-  last_metric_version_ = delta_.metric_version;
-  last_epoch_ = delta_.epoch;
-  return delta_;
 }
 
 std::vector<NodeId> Network::alive_nodes() const {

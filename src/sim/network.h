@@ -4,14 +4,16 @@
 // alive flag. Arrivals during a run therefore reuse pre-allocated ids from a
 // reserve pool created by the scenario builder, which keeps the metric
 // object immutable in size while the *network* it carries changes
-// arbitrarily.
+// arbitrarily. Moves change the metric, whose version() and DirtyLog tell
+// caches what moved; an alive toggle is a flag flip that no cache has to
+// hear of, since cached topology covers dead and alive nodes alike and
+// readers filter with alive_mask() (phy/topology_cache.h).
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "common/types.h"
-#include "metric/dirty_log.h"
 #include "metric/quasi_metric.h"
 
 namespace udwn {
@@ -31,49 +33,16 @@ class Network {
     return alive_;
   }
 
-  /// Monotonic topology epoch: bumps whenever the communication topology can
-  /// have changed — an alive flag toggled here (arrivals/departures) or the
-  /// metric mutated underneath us (moves; QuasiMetric::version()). Epoch-
-  /// invalidated caches (TopologyCache) recompute neighborhoods exactly when
-  /// this value changes. Starts at 1 so a zero-initialized cache stamp is
-  /// always stale.
-  [[nodiscard]] std::uint64_t topology_epoch() const {
-    return alive_epoch_ + metric_->version();
-  }
-
   [[nodiscard]] std::vector<NodeId> alive_nodes() const;
   [[nodiscard]] std::size_t alive_count() const { return alive_count_; }
 
   [[nodiscard]] QuasiMetric& metric() { return *metric_; }
   [[nodiscard]] const QuasiMetric& metric() const { return *metric_; }
 
-  /// Arm per-round TopologyDelta collection: from here on, alive toggles
-  /// are accumulated and the metric's DirtyLog window is anchored, so
-  /// collect_delta() can report exactly what changed since the last
-  /// collect. Off (the default), set_alive stays a pure flag flip and
-  /// collect_delta must not be called. Arming is idempotent.
-  void set_track_changes(bool on);
-  [[nodiscard]] bool track_changes() const { return track_changes_; }
-
-  /// Fold everything that changed since the previous collect (or since
-  /// arming) into a TopologyDelta: the metric's dirty window — coarse when
-  /// not localizable — plus the accumulated alive toggles, both sorted and
-  /// deduplicated. Resets the window; the returned reference stays valid
-  /// (and its buffers are reused) until the next call.
-  const TopologyDelta& collect_delta();
-
  private:
   QuasiMetric* metric_;
   std::vector<std::uint8_t> alive_;
   std::size_t alive_count_ = 0;
-  std::uint64_t alive_epoch_ = 1;
-
-  // Delta collection state (inert until set_track_changes(true)).
-  bool track_changes_ = false;
-  std::vector<NodeId> alive_dirty_;
-  std::uint64_t last_metric_version_ = 0;
-  std::uint64_t last_epoch_ = 0;
-  TopologyDelta delta_;
 };
 
 }  // namespace udwn

@@ -48,6 +48,16 @@ inline std::vector<NodeId> ids(std::initializer_list<std::uint32_t> list) {
   return out;
 }
 
+/// The members of `list` that `alive` marks alive, in order: a cached
+/// neighbor list (dead nodes included) as Channel::neighbors reports it.
+inline std::vector<NodeId> alive_only(std::span<const NodeId> list,
+                                      std::span<const std::uint8_t> alive) {
+  std::vector<NodeId> out;
+  for (const NodeId v : list)
+    if (alive[v.value]) out.push_back(v);
+  return out;
+}
+
 /// Two nodes at the given separation, useful for single-link physics tests.
 inline std::vector<Vec2> pair_at(double separation) {
   return {{0, 0}, {separation, 0}};
@@ -78,8 +88,7 @@ inline ::testing::AssertionResult resolves_exactly(
     std::span<const NodeId> txs, SlotWorkspace& ws, double scale = 1.0) {
   const SlotOutcome want = channel.resolve(txs, network.alive_mask(), scale);
   const OutcomeField field = compare_outcomes(
-      want, channel.resolve_into(txs, network.alive_mask(), scale,
-                                 network.topology_epoch(), ws));
+      want, channel.resolve_into(txs, network.alive_mask(), scale, ws));
   if (field == OutcomeField::kNone) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure() << to_string(field) << " differs";
 }

@@ -23,6 +23,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -90,7 +91,12 @@ def unit_checks() -> int:
     frontend may be unavailable; baseline is disabled for fixtures)."""
     sys.path.insert(0, str(TOOLS))
     from udwn_analyze import FunctionInfo, merge_frontends
-    from udwn_report import Finding, apply_baseline, strip_comments_and_strings
+    from udwn_report import (
+        Finding,
+        apply_baseline,
+        scope_baseline,
+        strip_comments_and_strings,
+    )
 
     failures = 0
 
@@ -134,6 +140,24 @@ def unit_checks() -> int:
         "baseline: under-matched entry reported stale",
     )
 
+    # Baseline scope: a run over some paths owns only the entries under
+    # them, deleted files included; the default run (None) owns them all.
+    entries = [{"path": p} for p in ("src/a.cpp", "src/phy/b.cpp", "bench/c.cpp")]
+    inside, outside = scope_baseline(entries, ["src/phy"])
+    check(
+        [e["path"] for e in inside] == ["src/phy/b.cpp"]
+        and [e["path"] for e in outside] == ["src/a.cpp", "bench/c.cpp"],
+        "baseline scope: entries under a requested directory only",
+    )
+    inside, outside = scope_baseline(entries, ["src/a.cpp", "src/ph"])
+    check(
+        [e["path"] for e in inside] == ["src/a.cpp"],
+        "baseline scope: a file scope matches itself, not a name prefix",
+    )
+    inside, outside = scope_baseline(entries, None)
+    check(len(inside) == 3 and not outside, "baseline scope: default run owns all")
+    subset_baseline_checks(check)
+
     # Frontend merge: a fallback entry whose extent overlaps a clang entry
     # (start line shifted by a multi-line declaration) is dropped; a
     # header-only fallback entry survives.
@@ -151,6 +175,52 @@ def unit_checks() -> int:
         "merge: overlapping fallback entry deduplicated, header kept",
     )
     return failures
+
+
+def subset_baseline_checks(check) -> None:
+    """The analyzer end to end on a throwaway tree with two float-eq files
+    and a baseline naming both plus a deleted file: a run over one file
+    neither reports nor rewrites the other entries, while the default run
+    still reports the deleted file's entry stale."""
+    body = "namespace udwn {{\ninline bool {0}(double x) {{ return x == 1.0; }}\n}}\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "src/phy").mkdir(parents=True)
+        (root / "src/phy/a.cc").write_text(body.format("a"), encoding="utf-8")
+        (root / "src/phy/b.cc").write_text(body.format("b"), encoding="utf-8")
+        analyze = [str(TOOLS / "udwn_analyze.py"), "--json", "--frontend",
+                   "fallback", "--src-root", tmp]
+        found = run_tool(analyze + ["--baseline", "none"])["findings"]
+        keys = ("rule", "path", "symbol", "what")
+        entries = [{**{k: f[k] for k in keys}, "count": 1} for f in found]
+        entries.append({**entries[0], "path": "src/phy/gone.cc"})
+        base = root / "baseline.json"
+        base.write_text(json.dumps({"comment": "kept", "findings": entries}),
+                        encoding="utf-8")
+        cmd = analyze + ["--baseline", str(base)]
+
+        subset = run_tool(cmd + ["src/phy/a.cc"])
+        check(
+            not subset["findings"]
+            and not any("stale" in n for n in subset.get("notes", [])),
+            "analyzer subset run: other paths' entries not reported stale",
+        )
+        full = run_tool(cmd)
+        check(
+            not full["findings"]
+            and [n for n in full.get("notes", []) if "stale" in n]
+            and all("gone.cc" in n for n in full["notes"] if "stale" in n),
+            "analyzer default run: deleted file's entry still reported stale",
+        )
+        subprocess.run([sys.executable, *cmd, "--write-baseline", "src/phy/a.cc"],
+                       capture_output=True, check=True)
+        written = json.loads(base.read_text(encoding="utf-8"))
+        check(
+            sorted(e["path"] for e in written["findings"])
+            == ["src/phy/a.cc", "src/phy/b.cc", "src/phy/gone.cc"]
+            and written["comment"] == "kept",
+            "analyzer --write-baseline on a subset keeps other paths' entries",
+        )
 
 
 def main() -> int:

@@ -149,7 +149,7 @@ long long far_field_allocations(std::size_t nodes, int threads, int warm_up,
     const SlotOutcome exact =
         scenario.channel().resolve(txs, network.alive_mask(), 1.0);
     const SlotOutcome& got = scenario.channel().resolve_into(
-        txs, network.alive_mask(), 1.0, network.topology_epoch(), ws);
+        txs, network.alive_mask(), 1.0, ws);
     EXPECT_NE(exact.interference, got.interference);
   }
 
@@ -234,9 +234,8 @@ TEST(SteadyStateAllocation, SoaTiledTableWithEvictionSettles) {
   for (int s = 0; s < 12; ++s)
     tx_sets.push_back(test::sample_transmitters(network, rng, 0.25));
 
-  const auto epoch = std::uint64_t{1};
   for (const auto& txs : tx_sets)  // warm-up sizes every buffer
-    channel.resolve_into(txs, network.alive_mask(), 1.0, epoch, ws);
+    channel.resolve_into(txs, network.alive_mask(), 1.0, ws);
 
   GainTable* gains = ws.cache().gains();
   ASSERT_NE(gains, nullptr);
@@ -246,7 +245,7 @@ TEST(SteadyStateAllocation, SoaTiledTableWithEvictionSettles) {
   g_live_allocations.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
   for (const auto& txs : tx_sets)
-    channel.resolve_into(txs, network.alive_mask(), 1.0, epoch, ws);
+    channel.resolve_into(txs, network.alive_mask(), 1.0, ws);
   g_counting.store(false, std::memory_order_relaxed);
   EXPECT_EQ(g_live_allocations.load(std::memory_order_relaxed), 0);
 }

@@ -434,7 +434,7 @@ TEST(FarField, PipelineFieldCertifiedUnderChurnAndMobility) {
 
     const SlotOutcome ref = channel.resolve(txs, network.alive_mask(), 1.0);
     const SlotOutcome& got = channel.resolve_into(
-        txs, network.alive_mask(), 1.0, network.topology_epoch(), ws);
+        txs, network.alive_mask(), 1.0, ws);
     ASSERT_EQ(ref.interference.size(), got.interference.size());
     bool any_diff = false;
     for (std::size_t v = 0; v < ref.interference.size(); ++v)
@@ -462,7 +462,7 @@ TEST(FarField, PowerScaledSlotsStayCertified) {
     const auto txs = sample_ids(network.size(), 0.3, rng);
     const SlotOutcome ref = channel.resolve(txs, network.alive_mask(), scale);
     const SlotOutcome& got = channel.resolve_into(
-        txs, network.alive_mask(), scale, network.topology_epoch(), ws);
+        txs, network.alive_mask(), scale, ws);
     expect_certified(ref.interference, got.interference, eps, "scaled");
   }
 }
@@ -582,8 +582,7 @@ TEST(FarField, FusedDecodeMatchesBruteForceGather) {
         const std::uint64_t fused_before =
             obs.metrics().total(obs.ids().decode_far_slots);
         const SlotOutcome& got =
-            channel.resolve_into(txs, network.alive_mask(), scale,
-                                 network.topology_epoch(), ws);
+            channel.resolve_into(txs, network.alive_mask(), scale, ws);
         if (full_power) {
           EXPECT_EQ(obs.metrics().total(obs.ids().decode_far_slots) -
                         fused_before,
@@ -651,8 +650,7 @@ TEST(FarField, MassDeliveryAndClearMatchBruteForce) {
         ASSERT_GE(txs.size(), 64u * 4);
         const double scale = trial % 2 == 0 ? 1.0 : 0.3;
         const SlotOutcome& got =
-            channel.resolve_into(txs, network.alive_mask(), scale,
-                                 network.topology_epoch(), ws);
+            channel.resolve_into(txs, network.alive_mask(), scale, ws);
         const PathLoss& base = channel.pathloss();
         const PathLoss pl(base.power() * scale, base.zeta(),
                           base.near_limit());
@@ -702,7 +700,7 @@ TEST(FarField, ExactConfigurationIsUntouchedByDefault) {
   const auto txs = sample_ids(network.size(), 0.25, rng);
   const SlotOutcome ref = channel.resolve(txs, network.alive_mask(), 1.0);
   const SlotOutcome& got = channel.resolve_into(
-      txs, network.alive_mask(), 1.0, network.topology_epoch(), ws);
+      txs, network.alive_mask(), 1.0, ws);
   for (std::size_t v = 0; v < ref.interference.size(); ++v)
     EXPECT_EQ(ref.interference[v], got.interference[v]) << "node " << v;
 }

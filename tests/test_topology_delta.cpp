@@ -1,15 +1,15 @@
 // The delta-invalidation stack, layer by layer: DirtyLog window queries,
 // QuasiMetric dirty bookkeeping (localized / coarse / batched spans),
-// Network::collect_delta folding metric dirt and alive churn into a
-// TopologyDelta, GainTable::apply_delta freshening exactly the tiles that
-// avoid every dirty row and column, stale tiles of clean rows patched
-// column by column, and — the property the whole refactor
-// hangs on — cached slot resolution staying bit-identical to the brute-force
-// reference while deltas are applied every round. The engine-level test
-// closes the loop: under churn + mobility every slot of a run equals
-// Channel::resolve(), serial and threaded. Cached neighbor lists
-// are checked against brute force after every delta, on a Euclidean and a
-// matrix metric (the two apply_delta branches).
+// GainTable::apply_delta freshening exactly the tiles that avoid every dirty
+// row and column, stale tiles of clean rows patched column by column, and —
+// the property the whole design hangs on — cached slot resolution staying
+// bit-identical to the brute-force reference while TopologyCache::sync reads
+// the metric's DirtyLog window every round. The log is read, not consumed,
+// so two workspaces over one scenario both freshen and both stay exact. The
+// engine-level test closes the loop: under churn + mobility every slot of a
+// run equals Channel::resolve(), serial and threaded. Cached neighbor lists
+// (filtered by the alive mask) are checked against brute force after every
+// round, on a Euclidean and a matrix metric (the two branches of sync).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -141,54 +141,6 @@ TEST(QuasiMetricDirty, AppendedPointIsCoarse) {
   EXPECT_EQ(m.version(), v0 + 1);
   std::vector<NodeId> out;
   EXPECT_FALSE(m.dirty_log().collect(v0, v0 + 1, out));
-}
-
-TEST(NetworkDelta, ArmingAnchorsTheCollectionWindow) {
-  EuclideanMetric m(test::random_points(10, 3.0, 51));
-  Network net(m);
-  // Mutations before arming must not leak into the first delta.
-  m.set_position(NodeId(3), {1, 1});
-  net.set_alive(NodeId(6), false);
-  net.set_track_changes(true);
-  const TopologyDelta& delta = net.collect_delta();
-  EXPECT_TRUE(delta.empty());
-  EXPECT_EQ(delta.prev_metric_version, delta.metric_version);
-  EXPECT_EQ(delta.prev_epoch, delta.epoch);
-}
-
-TEST(NetworkDelta, FoldsMovesAndAliveChurnSortedDeduped) {
-  EuclideanMetric m(test::random_points(10, 3.0, 52));
-  Network net(m);
-  net.set_track_changes(true);
-  const std::uint64_t v0 = m.version();
-  const std::uint64_t e0 = net.topology_epoch();
-  m.set_position(NodeId(7), {1, 2});
-  m.set_position(NodeId(3), {2, 1});
-  net.set_alive(NodeId(4), false);
-  net.set_alive(NodeId(4), true);  // toggled twice: still reported once
-  net.set_alive(NodeId(2), false);
-  const TopologyDelta& delta = net.collect_delta();
-  EXPECT_FALSE(delta.coarse);
-  EXPECT_EQ(delta.moved, ids({3, 7}));
-  EXPECT_EQ(delta.alive_toggled, ids({2, 4}));
-  EXPECT_EQ(delta.prev_metric_version, v0);
-  EXPECT_EQ(delta.metric_version, v0 + 2);
-  EXPECT_EQ(delta.prev_epoch, e0);
-  EXPECT_EQ(delta.epoch, net.topology_epoch());
-  // The window advanced: a quiet round collects an empty delta.
-  EXPECT_TRUE(net.collect_delta().empty());
-}
-
-TEST(NetworkDelta, CoarseMetricChangeFlagsTheDelta) {
-  EuclideanMetric m(test::random_points(10, 3.0, 53));
-  Network net(m);
-  net.set_track_changes(true);
-  m.set_position(NodeId(1), {0.1, 0.1});
-  m.add_point({5, 5});  // not localizable: subsumes the move above
-  const TopologyDelta& delta = net.collect_delta();
-  EXPECT_TRUE(delta.coarse);
-  EXPECT_TRUE(delta.moved.empty());
-  EXPECT_FALSE(delta.empty());  // coarse deltas are changes, not no-ops
 }
 
 TEST(GainTableDelta, FreshensExactlyTheTilesAvoidingDirtyRowsAndColumns) {
@@ -337,7 +289,7 @@ TEST(GainTablePatch, RandomRoundsMatchAFreshlyBoundTableBitForBit) {
   GainTable gains(config);
   gains.bind(metric, pl);
   Rng rng(76);
-  std::uint64_t collected = metric.version();  // Network::collect_delta's
+  std::uint64_t collected = metric.version();  // last version read
   std::vector<NodeId> window;                  // window since `collected`
   int coarse = 0, gaps = 0, patching_calls = 0;
   for (int round = 0; round < 300; ++round) {
@@ -365,8 +317,8 @@ TEST(GainTablePatch, RandomRoundsMatchAFreshlyBoundTableBitForBit) {
       if (batched) metric.end_update();
       std::sort(window.begin(), window.end());
       window.erase(std::unique(window.begin(), window.end()), window.end());
-      // A gap: the delta is collected (the window advances) but never
-      // reaches the table.
+      // A gap: the window is read (and advances) but never reaches the
+      // table.
       if (rng.chance(0.1))
         ++gaps;
       else
@@ -425,7 +377,6 @@ TEST(DeltaInvalidation, CachedResolveMatchesBruteForceAcrossDeltaRounds) {
   const Channel& channel = scenario.channel();
   Network& network = scenario.network();
   EuclideanMetric& metric = *scenario.euclidean();
-  network.set_track_changes(true);
   // 4 threads make 16-column tiles at n = 60: multi-block gain rows, so
   // apply_delta's per-block column filtering is actually exercised.
   SlotWorkspace ws(SlotWorkspaceConfig{.threads = 4});
@@ -442,43 +393,74 @@ TEST(DeltaInvalidation, CachedResolveMatchesBruteForceAcrossDeltaRounds) {
     metric.end_update();
     const NodeId toggled(static_cast<std::uint32_t>(rng.below(60)));
     network.set_alive(toggled, !network.alive(toggled));
-    ws.cache().apply_delta(network.collect_delta());
 
     const auto txs = test::sample_transmitters(network, rng, 0.2);
     EXPECT_TRUE(test::resolves_exactly(channel, network, txs, ws));
   }
-  // The fast path must have engaged, not silently degraded to epoch-only.
+  // resolve_into's sync must have read the log, not silently degraded to
+  // plain version stamps.
   ASSERT_NE(ws.cache().gains(), nullptr);
   EXPECT_GT(ws.cache().gains()->stats().freshened, 0u);
 }
 
-// Drives `mutate` through collect_delta → apply_delta every round, then
-// reads every cached neighbor list and compares it with the brute-force
-// Channel::neighbors. Reading all lists leaves each one fresh before the
-// next delta, so a list wrongly carried across a change cannot hide behind
-// one that happened to be stale already.
+TEST(DeltaInvalidation, TwoWorkspacesOverOneMetricBothReadTheLog) {
+  // The change log is read, not consumed: a second cache over the same
+  // metric sees the same window as the first, so both freshen and both
+  // stay exact. The workspaces differ in thread count (tile width) and
+  // resolve different transmitter sets every round.
+  Scenario scenario(test::random_points(60, 6.0, 8104),
+                    test::default_config());
+  const Channel& channel = scenario.channel();
+  Network& network = scenario.network();
+  EuclideanMetric& metric = *scenario.euclidean();
+  SlotWorkspace first(SlotWorkspaceConfig{.threads = 4});
+  SlotWorkspace second(SlotWorkspaceConfig{.threads = 2});
+  Rng rng(10);
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE(round);
+    metric.begin_update();
+    for (int k = 0; k < 2; ++k) {
+      const NodeId v(static_cast<std::uint32_t>(rng.below(60)));
+      const Vec2 p = metric.position(v);
+      metric.set_position(v, {p.x + rng.uniform(-0.3, 0.3),
+                              p.y + rng.uniform(-0.3, 0.3)});
+    }
+    metric.end_update();
+    const NodeId toggled(static_cast<std::uint32_t>(rng.below(60)));
+    network.set_alive(toggled, !network.alive(toggled));
+
+    for (SlotWorkspace* ws : {&first, &second}) {
+      const auto txs = test::sample_transmitters(network, rng, 0.2);
+      EXPECT_TRUE(test::resolves_exactly(channel, network, txs, *ws));
+    }
+  }
+  for (SlotWorkspace* ws : {&first, &second}) {
+    ASSERT_NE(ws->cache().gains(), nullptr);
+    EXPECT_GT(ws->cache().gains()->stats().freshened, 0u);
+  }
+}
+
+// Drives `mutate` every round, syncs the cache through resolve_into, then
+// reads every cached neighbor list and compares it, filtered by the alive
+// mask, with the brute-force Channel::neighbors. Reading all lists leaves
+// each one fresh before the next round, so a list wrongly carried across a
+// change cannot hide behind one that happened to be stale already.
 void expect_cached_neighbors_match(
     Scenario& scenario, const std::function<void(Rng&, int round)>& mutate) {
   const Channel& channel = scenario.channel();
-  Network& network = scenario.network();
-  network.set_track_changes(true);
+  const Network& network = scenario.network();
   SlotWorkspace ws;
   const std::vector<NodeId> silent;
   std::vector<NodeId> scratch;
   Rng rng(17);
   for (int round = 0; round < 30; ++round) {
     SCOPED_TRACE(round);
-    if (round > 0) {
-      mutate(rng, round);
-      ws.cache().apply_delta(network.collect_delta());
-    }
-    // resolve_into syncs the cache to the round's epoch.
-    (void)channel.resolve_into(silent, network.alive_mask(), 1.0,
-                               network.topology_epoch(), ws);
+    if (round > 0) mutate(rng, round);
+    // resolve_into syncs the cache to the metric's current version.
+    (void)channel.resolve_into(silent, network.alive_mask(), 1.0, ws);
     for (std::uint32_t u = 0; u < network.size(); ++u) {
-      const std::span<const NodeId> got =
-          ws.cache().neighbors(NodeId(u), scratch);
-      ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()),
+      EXPECT_EQ(test::alive_only(ws.cache().neighbors(NodeId(u), scratch),
+                                 network.alive_mask()),
                 channel.neighbors(NodeId(u), network.alive_mask()))
           << "node " << u;
     }
@@ -508,8 +490,8 @@ TEST(DeltaInvalidation, CachedNeighborsMatchBruteForceAcrossDeltaRounds) {
     });
   }
   {
-    // Non-Euclidean: apply_delta restamps the lists outside the dirty set
-    // (and freshens nothing in rounds with alive toggles).
+    // Non-Euclidean: sync restamps the lists outside the dirty set, in
+    // rounds with alive toggles too (lists hold dead nodes as well).
     SCOPED_TRACE("matrix");
     Rng build(8103);
     Scenario scenario(std::make_unique<MatrixMetric>(

@@ -18,7 +18,12 @@ Measurement discipline, tuned for noisy shared machines:
   * On failure the pass is retried and minima are POOLED across passes —
     a load spike long enough to cover one whole pass (observed on
     single-CPU CI hosts) cannot fake a regression unless it covers every
-    pass. The pooled floor only ever moves toward the true ratio.
+    pass. Pooling lowers each per-name floor or leaves it, never raises
+    it, but the obs/base ratio of two floors can move either way: a retry
+    that lowers the base floor more than the obs floor raises the ratio
+    (one run went 1.0704 -> 1.0793 -> 1.1920 over three passes). Retries
+    shed interference that hit one side in one pass; nothing makes the
+    pooled ratio approach the true one monotonically.
 
 Usage:
   obs_overhead_check.py BENCH_BINARY [--arg N] [--threshold X]

@@ -57,8 +57,10 @@ gate runs — with a warning — on machines without clang dev packages.
 
 Suppression: `// udwn-lint: allow(<rule>): reason` on the offending line.
 Grandfathered findings live in tools/analyze_baseline.json and match on
-(rule, path, symbol, what) — never line numbers. Exit 0 = clean, 1 =
-unsuppressed findings, 2 = usage error.
+(rule, path, symbol, what) — never line numbers. A run over named PATHs
+owns only the baseline entries under them: it matches and reports stale
+only those, and --write-baseline rewrites only those, keeping the rest.
+Exit 0 = clean, 1 = unsuppressed findings, 2 = usage error.
 
 Usage: udwn_analyze.py [--json] [--frontend auto|clang|fallback]
                        [--compdb DIR] [--baseline FILE|none]
@@ -84,6 +86,7 @@ from udwn_report import (  # noqa: E402
     emit,
     load_baseline,
     parse_suppressions,
+    scope_baseline,
     strip_comments_and_strings,
 )
 
@@ -977,6 +980,16 @@ def metric_dirty_pass(
 # --- Driver ------------------------------------------------------------------
 
 
+def scope_of(argument: str, src_root: Path) -> str:
+    """A PATH argument as a root-relative path ("." for the root itself);
+    a path outside the root is kept as given and covers nothing."""
+    p = src_root / argument if not Path(argument).is_absolute() else Path(argument)
+    try:
+        return p.resolve().relative_to(src_root).as_posix()
+    except ValueError:
+        return argument
+
+
 def collect_files(arguments: list[str], src_root: Path) -> list[Path]:
     files: list[Path] = []
     for argument in arguments:
@@ -1019,6 +1032,13 @@ def main(argv: list[str]) -> int:
     src_root = Path(args.src_root).resolve() if args.src_root else repo_root
     requested = args.paths or list(DEFAULT_PATHS)
     files = collect_files(requested, src_root)
+    # Baseline scopes: the requested paths relative to the root; None (the
+    # default paths) owns the whole baseline.
+    scopes = (
+        [scope_of(argument, src_root) for argument in args.paths]
+        if args.paths
+        else None
+    )
     if not files:
         print("udwn_analyze: no C++ sources under the given paths", file=sys.stderr)
         return 2
@@ -1137,6 +1157,11 @@ def main(argv: list[str]) -> int:
             if args.baseline
             else repo_root / "tools" / "analyze_baseline.json"
         )
+        # Only entries under the requested paths belong to this run: a
+        # subset run neither reports the others stale nor drops them.
+        in_scope, out_of_scope = scope_baseline(
+            load_baseline(baseline_path), scopes
+        )
         if args.write_baseline:
             entries: list[dict] = []
             index: dict[tuple[str, str, str, str], int] = {}
@@ -1147,10 +1172,20 @@ def main(argv: list[str]) -> int:
                 else:
                     index[key] = len(entries)
                     entries.append({**baseline_entry(f), "count": 1})
+            # Stable by path: a full run's entries are already in path order.
+            entries = sorted(entries + out_of_scope, key=lambda e: e["path"])
+            previous = (
+                json.loads(baseline_path.read_text(encoding="utf-8"))
+                if baseline_path.is_file()
+                else {}
+            )
             payload = {
-                "comment": "Grandfathered findings; match on "
-                "(rule, path, symbol, what), each entry absorbing at most "
-                "'count' occurrences. Shrink, never grow.",
+                "comment": previous.get(
+                    "comment",
+                    "Grandfathered findings; match on (rule, path, symbol, "
+                    "what), each entry absorbing at most 'count' "
+                    "occurrences. Shrink, never grow.",
+                ),
                 "findings": entries,
             }
             baseline_path.write_text(
@@ -1162,8 +1197,7 @@ def main(argv: list[str]) -> int:
                 file=sys.stderr,
             )
             return 0
-        entries = load_baseline(baseline_path)
-        kept, baselined, stale = apply_baseline(kept, entries)
+        kept, baselined, stale = apply_baseline(kept, in_scope)
         for entry in stale:
             got = entry.pop("_matched", 0)
             want = entry.get("count", 1)

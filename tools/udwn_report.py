@@ -168,6 +168,26 @@ def baseline_entry(finding: Finding) -> dict:
     }
 
 
+def scope_baseline(
+    entries: list[dict], scopes: list[str] | None
+) -> tuple[list[dict], list[dict]]:
+    """Split baseline entries into (in_scope, out_of_scope) for a run over
+    `scopes`: repo-relative paths, each a file or a directory ("." is the
+    whole tree). None means a run over the default paths, which owns every
+    entry. An entry is in scope when its path is, or lies under, a scope —
+    whether or not the file still exists, so a stale entry for a deleted
+    file is still reported by any run that covers its path."""
+    if scopes is None or "." in scopes:
+        return list(entries), []
+    inside: list[dict] = []
+    outside: list[dict] = []
+    for entry in entries:
+        path = entry.get("path", "")
+        covered = any(path == s or path.startswith(s + "/") for s in scopes)
+        (inside if covered else outside).append(entry)
+    return inside, outside
+
+
 def apply_baseline(
     findings: list[Finding], entries: list[dict]
 ) -> tuple[list[Finding], int, list[dict]]:
