@@ -1,5 +1,6 @@
 // Microbenchmarks of the simulation kernels (google-benchmark): exact
-// interference field, channel slot resolution, and full engine rounds.
+// interference field, gain-tile fill, channel slot resolution, and full
+// engine rounds.
 // These bound how large an instance the experiment harness can afford.
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "analysis/scenario.h"
 #include "core/try_adjust_protocol.h"
 #include "obs/obs.h"
+#include "phy/gain_table.h"
 #include "phy/interference.h"
 #include "metric/packing.h"
 #include "sim/batch.h"
@@ -42,6 +44,36 @@ void BM_InterferenceField(benchmark::State& state) {
                           static_cast<std::int64_t>(n * txs.size()));
 }
 BENCHMARK(BM_InterferenceField)->Arg(128)->Arg(512)->Arg(2048);
+
+// One full Euclidean gain-tile fill per iteration: n = 4096 nodes, one
+// 4096-column tile, ζ = 3, and a budget of exactly one tile, so each
+// ensure_rows of the other source evicts the resident tile and refills all
+// 4096 cells (the per-stage row for the gain fill; reported in cells/s).
+void BM_GainTileFill(benchmark::State& state) {
+  constexpr std::size_t kCols = 4096;
+  Rng rng(4);
+  EuclideanMetric metric(uniform_square(kCols, std::sqrt(kCols / 8.0), rng));
+  const PathLoss pl(1.0, 3.0, 1e-3);
+  GainTable gains(GainTable::Config{.tile_cols = kCols,
+                                    .budget_bytes = kCols * sizeof(double)});
+  gains.bind(metric, pl);
+  const NodeId sources[] = {NodeId(0), NodeId(1)};
+  std::size_t k = 0;
+  for (auto _ : state) {
+    if (!gains.ensure_rows({&sources[k], 1}, nullptr)) {
+      state.SkipWithError("gain table refused the row");
+      return;
+    }
+    benchmark::DoNotOptimize(gains.row_block(sources[k], 0));
+    benchmark::ClobberMemory();
+    k ^= 1;
+  }
+  if (gains.stats().cells != state.iterations() * kCols)
+    state.SkipWithError("an iteration did not fill a whole tile");
+  state.counters["cells"] = benchmark::Counter(
+      static_cast<double>(gains.stats().cells), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GainTileFill);
 
 // Production slot pipeline: cached topology, grid pruning, reusable
 // workspace. This is what Engine::run_slot executes.

@@ -43,6 +43,22 @@ void write_cells(double* dst, std::size_t count,
   for (std::size_t j = 0; j < count; ++j) dst[j] = gain(j);
 }
 
+// The Euclidean full fill: dst[j] = gain(|pu − pos[j]|) for j < count. The
+// body is straight-line IEEE arithmetic over restrict pointers, and the
+// main loop's trip count is even with one tail cell after it, so GCC's
+// vectorizer at the project's -O2 packs two columns per instruction
+// (sqrtpd, divpd; -fno-math-errno leaves sqrt without a libm branch). Each
+// lane runs the scalar operations in the scalar order: every cell keeps
+// its bits, the last ragged block included.
+template <bool kCube>
+void fill_row(double* __restrict dst, const Vec2* __restrict pos,
+              std::size_t count, Vec2 pu, PathLoss pl) {
+  const std::size_t even = count & ~std::size_t{1};
+  for (std::size_t j = 0; j < even; ++j)
+    dst[j] = pl.gain<kCube>((pu - pos[j]).norm());
+  if (even != count) dst[even] = pl.gain<kCube>((pu - pos[even]).norm());
+}
+
 }  // namespace
 
 std::size_t gain_tile_width(std::size_t n, int threads,
@@ -196,8 +212,13 @@ void GainTable::fill_tile(const PendingFill& fill) {
     const Vec2 pu = pts[u];
     const Vec2* pos = pts.data() + begin;
     pl.with_exponent([&](auto cube) {
+      constexpr bool kCube = decltype(cube)::value;
+      if (fill.stamp == 0) {
+        fill_row<kCube>(dst, pos, count, pu, pl);
+        return;
+      }
       write_cells(dst, count, moved_at, fill.stamp, [&](std::size_t j) {
-        return pl.gain<decltype(cube)::value>((pu - pos[j]).norm());
+        return pl.gain<kCube>((pu - pos[j]).norm());
       });
     });
   } else {

@@ -48,7 +48,9 @@
 //
 // On a EuclideanMetric a fill reads positions directly: a full fill is one
 // inlined loop of PathLoss::gain over the tile's (u − v).norm() distances,
-// a patch runs the same expression per moved column; both are bit for bit
+// packed two columns per instruction at the project's -O2 (lanes are
+// columns, each running the scalar operations in order), and a patch runs
+// the same expression per moved column; both are bit for bit
 // signal(distance(u, v)), with the ζ = 3 decision taken once per tile.
 // Other metrics go through the virtual distance.
 //

@@ -64,9 +64,11 @@ double interference_at(const QuasiMetric& metric, const PathLoss& pathloss,
 /// column. `rows[i * row_stride]` is transmitter i's row pointer for one
 /// listener block (the field driver passes its row-pointer array + block
 /// with row_stride = blocks). Four rows per sweep keep each listener's
-/// partial sum in a register; the compiler may vectorize across listeners
-/// (lanes), never across transmitters, so no listener's sum is ever
-/// reassociated.
+/// partial sum in a register. The column loops are packed two listeners
+/// per addpd at the project's -O2 (restrict pointers, an even trip count
+/// and a one-column tail; tests/packed_kernels.cmake checks the object
+/// code): lanes are listeners, never transmitters, so no listener's sum is
+/// ever reassociated.
 UDWN_HOT void accumulate_columns(const double* const* rows,
                                  std::size_t row_stride, std::size_t count,
                                  double* f, std::size_t jlo, std::size_t jhi);

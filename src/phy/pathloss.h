@@ -12,8 +12,10 @@
 // with no libm routine whose result could depend on the host's CPU or the
 // C library's version. The build compiles with -ffp-contract=off
 // (src/common/CMakeLists.txt), so no compiler fuses a product and a sum into
-// an FMA in a -march build. The planar distance is (u − v).norm(), the
-// sqrt(dx·dx + dy·dy) of geometry.h, the expression EuclideanMetric uses.
+// an FMA in a -march build, and with -fno-math-errno, so sqrt is one
+// instruction (the same correctly rounded result) that loops can pack. The
+// planar distance is (u − v).norm(), the sqrt(dx·dx + dy·dy) of geometry.h,
+// the expression EuclideanMetric uses.
 // The ζ = 3 gain lies within a few ulps of the correctly rounded P / c³;
 // c·c underflows only for c below ~1e-154, far inside any near limit.
 // tests/test_pathloss.cpp checks both forms of signal against these

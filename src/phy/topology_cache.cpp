@@ -48,9 +48,12 @@ void TopologyCache::sync(const QuasiMetric& metric, const PathLoss& pathloss,
 
   // Read what moved in (last, now]. A window that is not localizable
   // (coarse change, lost history) freshens nothing: stamps go stale.
-  // moved_ grows to the largest window seen, then is reused.
+  // moved_ grows to the largest window seen (at most the log's ring of
+  // 2^17 records), then is reused: amortized, not steady-state, growth.
   moved_.clear();
-  if (!metric.dirty_log().collect(last, now, moved_)) return;
+  if (!metric.dirty_log().collect(  // udwn-lint: allow(hot-path-alloc): reused
+          last, now, moved_))
+    return;
   std::sort(moved_.begin(), moved_.end());
   moved_.erase(std::unique(moved_.begin(), moved_.end()), moved_.end());
 

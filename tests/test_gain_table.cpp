@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "analysis/scenario.h"
@@ -89,6 +90,65 @@ TEST(GainTable, EntriesMatchUncachedExpressionDiagonalIsPlusZero) {
       ASSERT_NE(gains.cell(u, v), nullptr);
       EXPECT_EQ(*gains.cell(u, v), row[v]);
     }
+  }
+}
+
+TEST(GainTable, OddRaggedLastBlockIsExactBitForBit) {
+  // The full fill packs two columns per step and ends an odd block with one
+  // tail cell; a patch rewrites single columns. Every resident cell must be
+  // the scalar gain's exact bits, the diagonal +0.0, whether the odd block
+  // is the ragged last one (n = 37 at width 16: 16, 16, 5; n = 4097 at the
+  // default 4096: 4096, 1) or the only one (n = 37 at width 64).
+  struct Case {
+    std::size_t n;
+    std::size_t tile_cols;
+    std::size_t last_cols;
+  };
+  const Case cases[] = {{37, 16, 5}, {37, 64, 37}, {4097, 4096, 1}};
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "n " << c.n << " width " << c.tile_cols);
+    EuclideanMetric metric(test::random_points(c.n, 8.0, 616));
+    const PathLoss pl(1.5, 3.0, 1e-3);
+    GainTable gains(GainTable::Config{.tile_cols = c.tile_cols});
+    gains.bind(metric, pl);
+    ASSERT_TRUE(gains.enabled());
+    const std::size_t last = gains.blocks() - 1;
+    ASSERT_EQ(gains.block_cols(last), c.last_cols);
+
+    // Row n − 1's diagonal is the last block's last (tail) cell.
+    const auto last_id = static_cast<std::uint32_t>(c.n - 1);
+    const auto sources = ids({0, 3, last_id});
+    const auto expect_exact = [&] {
+      for (const NodeId u : sources)
+        for (std::uint32_t v = 0; v < c.n; ++v) {
+          const double* cell = gains.cell(u, v);
+          ASSERT_NE(cell, nullptr) << u.value << " -> " << v;
+          const double want =
+              u.value == v ? 0.0 : pl.signal(metric.distance(u, NodeId(v)));
+          ASSERT_EQ(bits(*cell), bits(want)) << u.value << " -> " << v;
+        }
+    };
+    ASSERT_TRUE(gains.ensure_rows(sources, nullptr));
+    expect_exact();
+
+    // Move the last column and one other column of the last block: each
+    // source's last tile is patched in place (two cells each), not refilled.
+    const std::uint64_t cells_before = gains.stats().cells;
+    const auto first_of_last =
+        static_cast<std::uint32_t>(gains.block_begin(last));
+    std::vector<NodeId> moved = {NodeId(last_id)};
+    if (first_of_last + 1 < last_id && first_of_last + 1 != 3)
+      moved.push_back(NodeId(first_of_last + 1));
+    const std::uint64_t prev = metric.version();
+    for (const NodeId v : moved)
+      metric.set_position(v, {0.25 + 0.5 * v.value / c.n, 7.5});
+    gains.apply_delta(moved, prev, metric.version());
+    // Row n − 1 moved itself, so its tiles refill in full; rows 0 and 3
+    // patch only the moved columns of their last tile.
+    ASSERT_TRUE(gains.ensure_rows(sources, nullptr));
+    EXPECT_EQ(gains.stats().cells - cells_before, 2 * moved.size() + c.n);
+    expect_exact();
   }
 }
 

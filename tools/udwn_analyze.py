@@ -251,8 +251,19 @@ TYPED_DECL = re.compile(
     r"(?:^|[\s(,])(?:const\s+)?([A-Z]\w*)\s*(?:<[^<>;]*>)?\s*[*&]?\s+"
     r"([a-z_]\w*)\s*(?:[;,)=\[]|$)"
 )
+# A call with an optional receiver: a variable, or ")" for the last method
+# of a chain like a.b().c(...), whose receiver is what b() returned.
 CALL_RE = re.compile(
-    r"(?:([A-Za-z_]\w*)\s*(?:\.|->)\s*)?([A-Za-z_]\w*)\s*\("
+    r"(?:(\)|[A-Za-z_]\w*)\s*(?:\.|->)\s*)?([A-Za-z_]\w*)\s*\("
+)
+# Receiver hint of a chained call whose returned class is unknown.
+CHAINED = ")"
+# A function declaration returning a class (by reference, pointer or
+# value): `const DirtyLog& dirty_log() const`. Recorded in the receiver type
+# map under "dirty_log()", so a chained call's hint is that class.
+RETURN_DECL = re.compile(
+    r"(?:^|[\s(,])(?:const\s+)?([A-Z]\w*)\s*(?:<[^<>;]*>)?"
+    r"(?:\s*[&*]\s*|\s+)(?:[A-Za-z_]\w*::)*([a-z_]\w*)\s*\("
 )
 QUAL_CALL_RE = re.compile(r"([A-Za-z_]\w*)::([A-Za-z_]\w*)\s*\(")
 
@@ -385,6 +396,27 @@ def decl_name(stmt: str) -> tuple[str, str]:
     return (parts[-2] if len(parts) > 1 else ""), parts[-1]
 
 
+def merge_return_type(types: dict[str, str], key: str, cls: str) -> None:
+    """Record that function `key` ("name()") returns `cls`; two different
+    classes for one name leave it unknown ("")."""
+    if types.setdefault(key, cls) != cls:
+        types[key] = ""
+
+
+def chained_receiver(line: str, close: int) -> str:
+    """Name of the call whose ")" is at `close` (a.b().c: "b"), or ""."""
+    depth = 0
+    for i in range(close, -1, -1):
+        if line[i] == ")":
+            depth += 1
+        elif line[i] == "(":
+            depth -= 1
+            if depth == 0:
+                m = re.search(r"([A-Za-z_]\w*)\s*$", line[:i])
+                return m.group(1) if m else ""
+    return ""
+
+
 def parse_functions_fallback(
     facts: FileFacts,
 ) -> tuple[list[FunctionInfo], set[str], set[str], dict[str, str]]:
@@ -412,6 +444,8 @@ def parse_functions_fallback(
             types[v] = t
         for t, v in TYPED_DECL.findall(stmt):
             types.setdefault(v, t)
+        for t, f in RETURN_DECL.findall(stmt):
+            merge_return_type(types, f"{f}()", t)
         if "(" in stmt and (HOT_MACRO in stmt or "[[noreturn]]" in stmt):
             cls, name = decl_name(stmt)
             if name:
@@ -679,7 +713,11 @@ def analyze_bodies(
                 recv, name = m.group(1), m.group(2)
                 if name in CPP_KEYWORDS or name in GROWTH_METHODS:
                     continue
-                hint = local_types.get(recv, recv) if recv else ""
+                if recv == CHAINED:
+                    callee = chained_receiver(bline, m.start(1))
+                    hint = local_types.get(f"{callee}()") or CHAINED
+                else:
+                    hint = local_types.get(recv, recv) if recv else ""
                 fn.calls.append((lineno, hint, name))
             for pattern, what, is_growth in ALLOC_RES:
                 for m in pattern.finditer(bline):
@@ -712,8 +750,12 @@ def resolve_call(
     and defines `name`, only that class's method is a candidate. Bare calls
     resolve to free functions plus the caller's own class. Unknown-receiver
     calls over-approximate to every class defining `name` — the price of a
-    name-based graph; genuinely cold hits go to the baseline.
+    name-based graph; genuinely cold hits go to the baseline. A chained
+    call (a.b().c(...)) is hinted with the class b() is declared to return
+    when that is known, and is an unknown-receiver call otherwise.
     """
+    if hint == CHAINED:
+        return [f for f in by_name.get(name, []) if f.cls]
     if hint:
         exact = by_qname.get(f"{hint}::{name}")
         if exact:
@@ -1082,7 +1124,10 @@ def main(argv: list[str]) -> int:
         hot_decls |= hots
         noreturn_decls |= norets
         for k, v in types.items():
-            global_types.setdefault(k, v)
+            if k.endswith("()"):
+                merge_return_type(global_types, k, v)
+            else:
+                global_types.setdefault(k, v)
         functions.extend(fns)
 
     if args.frontend in ("auto", "clang"):
